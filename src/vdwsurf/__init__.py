@@ -58,7 +58,6 @@ from .geometry import (
 )
 from .images import (
     HomogeneousGreen,
-    ImageCharge,
     bc_residual,
     bosshat_radicals,
     build_green,
@@ -98,7 +97,6 @@ __all__ = [
     "GeometryConfig",
     "GeometryKind",
     "HomogeneousGreen",
-    "ImageCharge",
     "Method",
     "Mode",
     "PairSpec",

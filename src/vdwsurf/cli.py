@@ -6,10 +6,20 @@ Subcommands
     scan      sweep z0 or rho0, CSV to a file
     validate  run invariant suites, text report on stdout
 
-Exit codes: 0 success, 1 failed validation, 2 invalid arguments,
-3 region violation (atom on or inside the conductor), 4 unwritable
-output. An optional key=value config file mirrors the flags; explicit
-flags win. The environment variable VDW_THREADS caps scan parallelism.
+Exit codes: 0 success, 1 failed validation, 2 invalid arguments
+(including NaN or infinite numbers) or an energy that cannot be
+computed (any library error other than a region violation, or a
+floating-point error), 3 region violation (atom on or inside the
+conductor), 4 unwritable output. A failed scan names the grid value of
+its first failing point. An optional key=value config file mirrors the
+flags; explicit flags win.
+
+`scan --method numeric|oracle` evaluates its grid in vectorised calls
+of up to 256 points; the other methods go point by point. Numpy
+floating-point errors (division by zero, overflow, invalid operations)
+raise inside every subcommand and exit 2. The environment
+variable VDW_THREADS, which once set a thread count, is accepted and
+ignored.
 
 Variances are interpreted in cartesian axes (x, y, z) for the plane and
 the spheres, and in the local cylindrical frame (radial, azimuthal,
@@ -22,9 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,7 +45,7 @@ from .closed import (
     u_plane,
     u_sphere_expansion3,
 )
-from .errors import RegionError
+from .errors import RegionError, VdwError
 from .evaluator import energy_numeric
 from .geometry import (
     DipoleVariances,
@@ -115,6 +123,27 @@ def _choice(name: str, options: Sequence[str]) -> Callable[[str], str]:
         return text
 
     return convert
+
+
+# numeric arguments, by argparse destination, that must be finite
+_FINITE_FLAGS = {
+    "radius": "--radius",
+    "z0": "--z0",
+    "rho0": "--rho0",
+    "isotropic": "--isotropic",
+    "from_value": "--from",
+    "to_value": "--to",
+}
+
+
+def _require_finite(args: argparse.Namespace) -> None:
+    """Reject NaN and infinite numbers, from flags or the config file."""
+    for dest, flag in _FINITE_FLAGS.items():
+        value = getattr(args, dest, None)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{flag} must be a finite number, got {value!r}")
+    if args.variances is not None and not all(math.isfinite(m) for m in args.variances):
+        raise ValueError(f"--variances must be finite numbers, got {args.variances!r}")
 
 
 def _resolve_variances(args: argparse.Namespace, frame: VarianceFrame) -> DipoleVariances:
@@ -232,6 +261,7 @@ _SCAN_CONFIG_FIELDS: dict[str, Callable] = {
 
 def cmd_energy(args: argparse.Namespace) -> int:
     _merge_config(args, _ENERGY_CONFIG_FIELDS)
+    _require_finite(args)
     if args.geometry is None:
         raise ValueError("--geometry is required")
     if args.z0 is None:
@@ -264,34 +294,62 @@ def cmd_energy(args: argparse.Namespace) -> int:
             "method": method,
         },
     }
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
     return 0
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("VDW_THREADS", "")
-    if not raw:
-        return 1
-    n = int(raw)
-    if n < 1:
-        raise ValueError("VDW_THREADS must be a positive integer")
-    return n
+# Grid points per vectorised route call: scans of ordinary size take one
+# call, and the stencil arrays of a long scan stay a few MB.
+_SCAN_CHUNK = 256
 
 
-def _normalization(
-    kind: str, g: GeometryConfig, rho0: float, z0: float
-) -> float:
+def _normalization(kind: str, g: GeometryConfig, positions: np.ndarray) -> list[float]:
+    """Scale factor of each scan point."""
     if kind == "none":
-        return 1.0
+        return [1.0] * len(positions)
     if kind == "R3":
         if g.kind is GeometryKind.PLANE:
             raise ValueError("--normalize R3 is undefined for the plane")
-        return g.radius**3
-    return surface_distance(g, Position(rho0, 0.0, z0)) ** 3
+        return [g.radius**3] * len(positions)
+    # Python's ** (the C library pow), which numpy's power may not match
+    return [d**3 for d in surface_distance(g, positions).tolist()]
+
+
+def _chunk_energies(
+    method: str,
+    g: GeometryConfig,
+    variances: DipoleVariances,
+    xs: list[float],
+    positions: np.ndarray,
+    units: UnitSystem,
+    var: str,
+) -> tuple[list[float], list[float], str]:
+    """Values, errors and method name of a chunk of scan points: one
+    vectorised call for numeric and oracle, else point by point. A
+    failure names the grid value of the first failing point."""
+    route = {"numeric": energy_numeric, "oracle": extrapolated_energy}.get(method)
+    if route is not None:
+        try:
+            batch = route(g, variances, positions, units=units)
+        except (VdwError, ArithmeticError):
+            pass   # the point-by-point loop below finds and names the failing point
+        else:
+            return batch.value.tolist(), batch.err_estimate.tolist(), batch.method.value
+    values, errs = [], []
+    for x, (rho0, _, z0) in zip(xs, positions.tolist()):
+        try:
+            result = _point_energy(method, g, variances, rho0, z0, units)
+        except (VdwError, ArithmeticError) as exc:
+            exc.args = (f"at {var}={x!r}: {exc}",)   # name the failing point
+            raise
+        values.append(result.value)
+        errs.append(result.err_estimate)
+    return values, errs, result.method.value
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
     _merge_config(args, _SCAN_CONFIG_FIELDS)
+    _require_finite(args)
     for name, flag in (
         ("geometry", "--geometry"),
         ("from_value", "--from"),
@@ -332,25 +390,28 @@ def cmd_scan(args: argparse.Namespace) -> int:
     else:
         grid = np.linspace(lo, hi, points)
     xs = sorted(float(x) for x in grid)
-
-    def evaluate(x: float) -> tuple[float, float, str]:
-        rho0 = rho0_fixed if var == "z0" else x
-        z0 = x if var == "z0" else z0_fixed
-        result = _point_energy(method, g, variances, rho0, z0, units)
-        scale = _normalization(normalize, g, rho0, z0)
-        return (result.value * scale, result.err_estimate * scale, result.method.value)
-
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(evaluate, xs))
-    else:
-        rows = [evaluate(x) for x in xs]
+    rows = []
+    for start in range(0, len(xs), _SCAN_CHUNK):
+        chunk = xs[start:start + _SCAN_CHUNK]
+        positions = np.array(
+            [(rho0_fixed, 0.0, x) if var == "z0" else (x, 0.0, z0_fixed) for x in chunk]
+        )
+        scales = _normalization(normalize, g, positions)
+        values, errs, method_name = _chunk_energies(
+            method, g, variances, chunk, positions, units, var
+        )
+        for x, scale, value, err in zip(chunk, scales, values, errs):
+            value, err = value * scale, err * scale
+            if not (math.isfinite(value) and math.isfinite(err)):
+                raise FloatingPointError(
+                    f"at {var}={x!r}: non-finite energy {value!r} (err {err!r})"
+                )
+            rows.append((x, value, err))
 
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("x,value,err,method\n")
-            for x, (value, err, method_name) in zip(xs, rows):
+            for x, value, err in rows:
                 fh.write(f"{x:.17g},{value:.17g},{err:.17g},{method_name}\n")
     except OSError as exc:
         sys.stderr.write(f"vdwsurf: cannot write {args.out!r}: {exc}\n")
@@ -424,11 +485,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        # numpy raises FloatingPointError, an ArithmeticError, where Python
+        # floats would raise ZeroDivisionError or carry inf and NaN on
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return args.handler(args)
     except RegionError as exc:
         sys.stderr.write(f"vdwsurf: region violation: {exc}\n")
         return 3
-    except (ValueError, OSError) as exc:
+    except (VdwError, ArithmeticError, ValueError, OSError) as exc:
         sys.stderr.write(f"vdwsurf: {exc}\n")
         return 2
 

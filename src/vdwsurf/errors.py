@@ -1,8 +1,19 @@
 """Exception taxonomy for the vdwsurf library.
 
-The CLI maps these onto exit codes: RegionError (and its subclass
-ContactError) exit 3, argument problems exit 2, validation failures
-exit 1, unwritable output exits 4.
+The CLI maps these onto exit codes:
+
+    0  success
+    1  validation failed (a `validate` check reported FAIL)
+    2  invalid arguments, including NaN or infinite numbers; every other
+       VdwError (DegenerateSourceError, StepUnderflowError,
+       ExtrapolationError, ExpansionWindowError); and every
+       ArithmeticError, such as ZeroDivisionError in a closed form or
+       the FloatingPointError numpy raises on overflow
+    3  RegionError and its subclass ContactError
+    4  unwritable output
+
+Each failure prints one line, `vdwsurf: ...`, on stderr; a failed scan
+names the grid value of its first failing point.
 """
 
 

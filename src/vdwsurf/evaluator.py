@@ -10,7 +10,8 @@ stencil
 
 whose error expands in even powers of h, and Richardson-extrapolated
 over halved steps.  Only diagonal axis pairs are needed because the
-dipole covariance is diagonal in the chosen basis.
+dipole covariance is diagonal in the chosen basis.  A batch of
+positions is differentiated with one G_H call over all its stencils.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import RegionError, StepUnderflowError
 from .geometry import (
@@ -27,8 +30,10 @@ from .geometry import (
     GeometryConfig,
     Method,
     Position,
+    as_points,
     local_axes,
     physical_region,
+    point_norms,
     surface_distance,
     variances_of,
 )
@@ -68,20 +73,64 @@ class DiffSettings:
 DEFAULT_DIFF_SETTINGS = DiffSettings()
 
 
-def _stencil(
+def _mixed_second(
     green: HomogeneousGreen,
-    r0: Position,
-    e: tuple[float, float, float],
-    h: float,
-) -> float:
-    plus = Position(r0.x + h * e[0], r0.y + h * e[1], r0.z + h * e[2])
-    minus = Position(r0.x - h * e[0], r0.y - h * e[1], r0.z - h * e[2])
-    return (
-        g_h(green, plus, plus)
-        - g_h(green, plus, minus)
-        - g_h(green, minus, plus)
-        + g_h(green, minus, minus)
+    points: np.ndarray,
+    directions: np.ndarray,
+    settings: DiffSettings,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mixed second derivatives at (N, 3) points along (N, A, 3) unit
+    directions, each (N, A): the Richardson value and its last increment
+    (nan for a single level).  Every stencil point of every point,
+    direction and level goes to G_H in one call.
+    """
+    g = green.geometry
+    if not np.all(physical_region(g, points)):
+        raise RegionError("r0 must lie strictly inside the physical region")
+    dist = surface_distance(g, points)
+    norm = point_norms(points)
+    scale = np.maximum(dist, 0.01 * norm)
+    h0 = settings.base_step * scale
+    # stencil points must not cross the conductor
+    h0 = np.where(h0 >= dist, 0.45 * dist, h0)
+    levels = settings.richardson_levels
+    if np.any(h0 / 2.0 ** (levels - 1) < 1e3 * _EPS * norm):
+        raise StepUnderflowError(
+            "finite-difference step below floating-point resolution"
+        )
+    steps = [h0]
+    for _ in range(levels - 1):
+        steps.append(steps[-1] * 0.5)
+    h = np.stack(steps, axis=-1)[:, None, :]                     # (N, 1, L)
+
+    # Stencil points (N, A, L, 3), then the four (r, r') pairs of each
+    # stencil along axis -2 in the order ++, +-, -+, --.
+    offset = h[..., None] * directions[:, :, None, :]
+    center = points[:, None, None, :]
+    plus = center + offset
+    minus = center - offset
+    values = g_h(
+        green,
+        np.stack([plus, plus, minus, minus], axis=-2),
+        np.stack([plus, minus, plus, minus], axis=-2),
+    )
+    stencil = (
+        values[..., 0] - values[..., 1] - values[..., 2] + values[..., 3]
     ) / (4.0 * h * h)
+
+    row_prev: list[np.ndarray] = []
+    diag_prev = None
+    for i in range(levels):
+        row = [stencil[..., i]]
+        for j in range(1, i + 1):
+            factor = 4.0**j
+            row.append(row[j - 1] + (row[j - 1] - row_prev[j - 1]) / (factor - 1.0))
+        if i == levels - 2:
+            diag_prev = row[-1]
+        row_prev = row
+    value = row_prev[-1]
+    err = np.abs(value - diag_prev) if levels >= 2 else np.full_like(value, math.nan)
+    return value, err
 
 
 def mixed_second_dir(
@@ -95,35 +144,13 @@ def mixed_second_dir(
     Returns (value, err) where err is the last Richardson increment
     (nan for a single level, which has no estimate).
     """
-    g = green.geometry
-    if not physical_region(g, r0):
-        raise RegionError("r0 must lie strictly inside the physical region")
-    dist = surface_distance(g, r0)
-    scale = max(dist, 0.01 * r0.norm)
-    h0 = settings.base_step * scale
-    if h0 >= dist:
-        h0 = 0.45 * dist   # stencil points must not cross the conductor
-    levels = settings.richardson_levels
-    if h0 / 2.0 ** (levels - 1) < 1e3 * _EPS * r0.norm:
-        raise StepUnderflowError(
-            "finite-difference step below floating-point resolution"
-        )
-
-    row_prev: list[float] = []
-    diag_prev = math.nan
-    h = h0
-    for i in range(levels):
-        row = [_stencil(green, r0, direction, h)]
-        for j in range(1, i + 1):
-            factor = 4.0**j
-            row.append(row[j - 1] + (row[j - 1] - row_prev[j - 1]) / (factor - 1.0))
-        if i == levels - 2:
-            diag_prev = row[-1]
-        row_prev = row
-        h *= 0.5
-    value = row_prev[-1]
-    err = abs(value - diag_prev) if levels >= 2 else math.nan
-    return value, err
+    value, err = _mixed_second(
+        green,
+        as_points(r0).reshape(1, 3),
+        np.asarray(direction, dtype=float).reshape(1, 1, 3),
+        settings,
+    )
+    return float(value[0, 0]), float(err[0, 0])
 
 
 def mixed_second(
@@ -143,11 +170,15 @@ def mixed_second(
 def energy_numeric(
     g: GeometryConfig,
     atom: AtomSpec | DipoleVariances,
-    r0: Position,
+    r0: Position | np.ndarray,
     settings: DiffSettings = DEFAULT_DIFF_SETTINGS,
     units: UnitSystem = UnitSystem.reduced(),
 ) -> EnergyResult:
     """Dispersion energy by numerical differentiation of G_H.
+
+    r0 is a Position, giving float value and err_estimate, or an (N, 3)
+    array of positions, giving (N,) arrays equal to the per-point
+    results; the whole batch takes one G_H call.
 
     For cylindrical-frame variances the three derivative directions are
     rotated so components follow (rho-hat, phi-hat, z-hat) at the atom's
@@ -155,19 +186,25 @@ def energy_numeric(
     """
     v = variances_of(atom)
     green = build_green(g)
-    axes = local_axes(v.frame, r0)
+    points = as_points(r0).reshape(-1, 3)
+    weights = (v.m1, v.m2, v.m3)
+    active = [m for m in range(3) if weights[m] != 0.0]
+    d, e = _mixed_second(
+        green, points, local_axes(v.frame, points)[:, active], settings
+    )
     prefactor = 2.0 * math.pi / units.four_pi_epsilon0   # = 1/(2*eps0)
-    value = 0.0
-    err = 0.0
-    for weight, direction in zip((v.m1, v.m2, v.m3), axes):
-        if weight == 0.0:
-            continue
-        d, e = mixed_second_dir(green, r0, direction, settings)
-        value += weight * d
-        err += weight * (abs(e) if not math.isnan(e) else math.nan)
+    value = np.zeros(len(points))
+    err = np.zeros(len(points))
+    for k, m in enumerate(active):
+        value = value + weights[m] * d[:, k]
+        err = err + weights[m] * np.abs(e[:, k])   # nan (one level) stays nan
+    value = prefactor * value
+    err = prefactor * err
+    if isinstance(r0, Position):
+        value, err = float(value[0]), float(err[0])
     return EnergyResult(
-        value=prefactor * value,
-        err_estimate=prefactor * err,
+        value=value,
+        err_estimate=err,
         method=Method.NUMERIC_EZ,
         units=units.mode,
     )

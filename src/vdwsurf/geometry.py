@@ -3,7 +3,8 @@
 Positions are stored Cartesian; cylindrical coordinates are derived
 views.  The axisymmetric closed forms are cylindrical, but the
 differentiation engine works along Cartesian axes, so Cartesian storage
-keeps the hot path simple.
+keeps the hot path simple.  The region helpers also take arrays of
+points, shape (..., 3), so batched routes test every point at once.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .units import Mode, UnitSystem
 
@@ -52,6 +55,27 @@ class Position:
         return Position(self.x + dx, self.y + dy, self.z + dz)
 
 
+def as_points(p: Position | np.ndarray) -> np.ndarray:
+    """Coordinates of a Position as a (3,) array, or of an array of
+    points as a float array of shape (..., 3)."""
+    if isinstance(p, Position):
+        return np.array((p.x, p.y, p.z))
+    return np.asarray(p, dtype=float)
+
+
+def point_norms(points: np.ndarray) -> np.ndarray:
+    """|p| along the last axis, summed in the order of Position.norm."""
+    x, y, z = points[..., 0], points[..., 1], points[..., 2]
+    return np.sqrt(x * x + y * y + z * z)
+
+
+def _z_and_norm(p: Position | np.ndarray):
+    if isinstance(p, Position):
+        return p.z, p.norm
+    points = as_points(p)
+    return points[..., 2], point_norms(points)
+
+
 def to_cylindrical(p: Position) -> tuple[float, float, float]:
     """(rho, phi, z) view of a Cartesian position; phi = 0 on the axis."""
     return (p.rho, p.phi, p.z)
@@ -85,22 +109,28 @@ class GeometryConfig:
         return cls(GeometryKind.BOSS_HAT, radius)
 
 
-def physical_region(g: GeometryConfig, p: Position) -> bool:
-    """True if p lies strictly in the vacuum region outside the conductor."""
+def physical_region(g: GeometryConfig, p: Position | np.ndarray):
+    """True where p lies strictly in the vacuum region outside the
+    conductor: a bool for a Position, a bool array for an array."""
+    z, norm = _z_and_norm(p)
     if g.kind is GeometryKind.PLANE:
-        return p.z > 0.0
+        return z > 0.0
     if g.kind in (GeometryKind.GROUNDED_SPHERE, GeometryKind.ISOLATED_SPHERE):
-        return p.norm > g.radius
-    return p.z > 0.0 and p.norm > g.radius
+        return norm > g.radius
+    return (z > 0.0) & (norm > g.radius)
 
 
-def surface_distance(g: GeometryConfig, p: Position) -> float:
-    """Distance from p to the conductor; positive inside the physical region."""
+def surface_distance(g: GeometryConfig, p: Position | np.ndarray):
+    """Distance from p to the conductor; positive inside the physical
+    region.  A float for a Position, an array for an array of points."""
+    z, norm = _z_and_norm(p)
     if g.kind is GeometryKind.PLANE:
-        return p.z
+        return z
     if g.kind in (GeometryKind.GROUNDED_SPHERE, GeometryKind.ISOLATED_SPHERE):
-        return p.norm - g.radius
-    return min(p.z, p.norm - g.radius)
+        return norm - g.radius
+    if isinstance(p, Position):
+        return min(z, norm - g.radius)
+    return np.minimum(z, norm - g.radius)
 
 
 class VarianceFrame(enum.Enum):
@@ -123,7 +153,8 @@ class DipoleVariances:
     frame: VarianceFrame = VarianceFrame.CARTESIAN
 
     def __post_init__(self) -> None:
-        if self.m1 < 0.0 or self.m2 < 0.0 or self.m3 < 0.0:
+        # written as "not >= 0" so that NaN is rejected too
+        if not (self.m1 >= 0.0 and self.m2 >= 0.0 and self.m3 >= 0.0):
             raise ValueError("dipole variances must be >= 0")
 
     @property
@@ -139,9 +170,17 @@ class DipoleVariances:
 
 
 def local_axes(
-    frame: VarianceFrame, p: Position
-) -> tuple[tuple[float, float, float], ...]:
-    """Unit vectors the three variance components refer to at position p."""
+    frame: VarianceFrame, p: Position | np.ndarray
+) -> tuple[tuple[float, float, float], ...] | np.ndarray:
+    """Unit vectors the three variance components refer to at position p.
+
+    For an (N, 3) array of points the axes come as an (N, 3, 3) array,
+    axes[i, m] being the m-th unit vector at point i; each row is built
+    with the scalar math functions, so it equals the Position result.
+    """
+    if not isinstance(p, Position):
+        rows = as_points(p).reshape(-1, 3).tolist()
+        return np.array([local_axes(frame, Position(*row)) for row in rows]).reshape(-1, 3, 3)
     if frame is VarianceFrame.CYLINDRICAL_LOCAL:
         ph = p.phi
         c, s = math.cos(ph), math.sin(ph)
@@ -186,13 +225,14 @@ class Method(enum.Enum):
 
 @dataclass(frozen=True)
 class EnergyResult:
-    """A single energy value with its numeric error estimate.
+    """An energy with its numeric error estimate: floats for one
+    position, (N,) arrays for an (N, 3) array of positions.
 
     value is in J (SI mode) or dimensionless (reduced mode);
     err_estimate is absolute, 0 for exact closed forms.
     """
 
-    value: float
-    err_estimate: float
+    value: float | np.ndarray
+    err_estimate: float | np.ndarray
     method: Method
     units: Mode

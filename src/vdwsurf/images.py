@@ -15,27 +15,36 @@ with weights w_k and locations loc_k depending on the source point r'.
 The isolated sphere carries an additional separable term
 R/(4*pi*|r|*|r'|) that restores charge neutrality on the sphere.
 
-Image systems:
+An image system is plain data: a tuple of Image records, each a sign
+and one of three kinds, with the radius R taken from the geometry.
 
-  plane            one image, weight -1, at (x', y', -z')
-  grounded sphere  one image, weight -R/|r'|, at (R^2/|r'|^2) r'
-  isolated sphere  the grounded image plus the separable extra term
-  boss hat         three images: the sphere image, its mirror through
-                   the plane with opposite weight, and the plane image
-                   (hemisphere of radius R capping an infinite plane)
+  mirror           weight sign*1,        at (x', y', -z')
+  kelvin           weight sign*R/|r'|,   at (R^2/|r'|^2) r'
+  mirrored kelvin  weight sign*R/|r'|,   the kelvin image of (x', y', -z')
+
+  plane            one mirror image, sign -1
+  grounded sphere  one kelvin image, sign -1
+  isolated sphere  the grounded image; the neutrality term follows from
+                   the geometry kind
+  boss hat         kelvin (-1), mirrored kelvin (+1) and mirror (-1):
+                   a hemisphere of radius R capping an infinite plane
+
+g_h evaluates the sum with operators and numpy ufuncs only, for one
+pair of Positions or for arrays of point pairs of shape (..., 3), so
+one call serves a whole batch.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DegenerateSourceError
-from .geometry import GeometryConfig, GeometryKind, Position
+from .geometry import GeometryConfig, GeometryKind, Position, as_points, point_norms
 
 FOUR_PI = 4.0 * math.pi
 _EPS = sys.float_info.epsilon
@@ -45,91 +54,101 @@ _EPS = sys.float_info.epsilon
 _DEGENERATE_RTOL = 8.0 * _EPS
 
 
-@dataclass(frozen=True)
-class ImageCharge:
-    """One image: dimensionless weight q_i/q and location, both
-    functions of the source point r'."""
+class ImageKind(enum.Enum):
+    MIRROR = "mirror"
+    KELVIN = "kelvin"
+    MIRRORED_KELVIN = "mirrored_kelvin"
 
-    weight: Callable[[Position], float]
-    location: Callable[[Position], Position]
+
+@dataclass(frozen=True)
+class Image:
+    """One image charge: the sign of its weight and its kind."""
+
+    sign: float
+    kind: ImageKind
 
 
 @dataclass(frozen=True)
 class HomogeneousGreen:
-    """Induced Green function as an image sum plus optional extra term."""
+    """Induced Green function of a geometry as its image records."""
 
-    images: tuple[ImageCharge, ...]
-    extra: Optional[Callable[[Position, Position], float]]
+    images: tuple[Image, ...]
     geometry: GeometryConfig
 
 
-def _plane_mirror(rp: Position) -> Position:
-    return Position(rp.x, rp.y, -rp.z)
+_MIRROR = Image(-1.0, ImageKind.MIRROR)
+_KELVIN = Image(-1.0, ImageKind.KELVIN)
 
-
-def _sphere_image_location(radius: float, rp: Position) -> Position:
-    f = radius * radius / (rp.x * rp.x + rp.y * rp.y + rp.z * rp.z)
-    return Position(f * rp.x, f * rp.y, f * rp.z)
-
-
-def _sphere_image_weight(radius: float, rp: Position) -> float:
-    return -radius / rp.norm
+_IMAGE_SYSTEMS = {
+    GeometryKind.PLANE: (_MIRROR,),
+    GeometryKind.GROUNDED_SPHERE: (_KELVIN,),
+    GeometryKind.ISOLATED_SPHERE: (_KELVIN,),
+    GeometryKind.BOSS_HAT: (_KELVIN, Image(1.0, ImageKind.MIRRORED_KELVIN), _MIRROR),
+}
 
 
 def build_green(g: GeometryConfig) -> HomogeneousGreen:
     """Construct the image system for a geometry."""
-    if g.kind is GeometryKind.PLANE:
-        images = (ImageCharge(lambda rp: -1.0, _plane_mirror),)
-        return HomogeneousGreen(images, None, g)
-
-    radius = g.radius
-    sphere = ImageCharge(
-        lambda rp: _sphere_image_weight(radius, rp),
-        lambda rp: _sphere_image_location(radius, rp),
-    )
-
-    if g.kind is GeometryKind.GROUNDED_SPHERE:
-        return HomogeneousGreen((sphere,), None, g)
-
-    if g.kind is GeometryKind.ISOLATED_SPHERE:
-        def neutrality_term(r: Position, rp: Position) -> float:
-            return radius / (FOUR_PI * r.norm * rp.norm)
-
-        return HomogeneousGreen((sphere,), neutrality_term, g)
-
-    # Boss hat: sphere image, mirrored sphere image with flipped weight,
-    # and the plane image.
-    mirrored_sphere = ImageCharge(
-        lambda rp: -_sphere_image_weight(radius, rp),
-        lambda rp: _sphere_image_location(radius, _plane_mirror(rp)),
-    )
-    plane_img = ImageCharge(lambda rp: -1.0, _plane_mirror)
-    return HomogeneousGreen((sphere, mirrored_sphere, plane_img), None, g)
+    return HomogeneousGreen(_IMAGE_SYSTEMS[g.kind], g)
 
 
-def g_h(green: HomogeneousGreen, r: Position, r_prime: Position) -> float:
+def g_h(green: HomogeneousGreen, r, r_prime):
     """Induced Green function G_H(r, r').
+
+    r and r_prime are Positions, giving a float, or arrays of points of
+    shape (..., 3) that broadcast together, giving an array.
 
     Membership of r and r' in the physical region is the caller's
     responsibility (boundary-condition checks evaluate r on the surface
-    on purpose); only coincidence with an image location is rejected.
+    on purpose); only coincidence with an image location is rejected,
+    naming the first such field point in C order.
     """
-    total = 0.0
+    scalar = isinstance(r, Position) and isinstance(r_prime, Position)
+    r = as_points(r)
+    rp = as_points(r_prime)
+    x, y, z = r[..., 0], r[..., 1], r[..., 2]
+    xp, yp, zp = rp[..., 0], rp[..., 1], rp[..., 2]
+    radius = green.geometry.radius
+    r_norm = point_norms(r)
+    if any(img.kind is not ImageKind.MIRROR for img in green.images):
+        rp_norm = point_norms(rp)
+        f = radius * radius / (xp * xp + yp * yp + zp * zp)   # Kelvin inversion
+        kelvin = (f * xp, f * yp, f * zp)
+        kelvin_weight = radius / rp_norm
+
+    terms = []
+    degenerate = False
     for img in green.images:
-        loc = img.location(r_prime)
-        dx = r.x - loc.x
-        dy = r.y - loc.y
-        dz = r.z - loc.z
-        dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-        if dist <= _DEGENERATE_RTOL * max(r.norm, loc.norm):
-            raise DegenerateSourceError(
-                f"field point ({r.x}, {r.y}, {r.z}) coincides with an image location"
-            )
-        total += img.weight(r_prime) / dist
-    total /= FOUR_PI
-    if green.extra is not None:
-        total += green.extra(r, r_prime)
-    return total
+        if img.kind is ImageKind.MIRROR:
+            loc = (xp, yp, -zp)
+            weight = img.sign
+        else:
+            if img.kind is ImageKind.KELVIN:
+                loc = kelvin
+            else:
+                loc = (kelvin[0], kelvin[1], -kelvin[2])
+            weight = img.sign * kelvin_weight
+        dx = x - loc[0]
+        dy = y - loc[1]
+        dz = z - loc[2]
+        dist = np.sqrt(dx * dx + dy * dy + dz * dz)
+        loc_norm = np.sqrt(loc[0] * loc[0] + loc[1] * loc[1] + loc[2] * loc[2])
+        degenerate = degenerate | (dist <= _DEGENERATE_RTOL * np.maximum(r_norm, loc_norm))
+        terms.append((weight, dist))
+    if np.any(degenerate):
+        first = np.argmax(np.ravel(degenerate))
+        fx, fy, fz = np.broadcast_to(r, np.shape(degenerate) + (3,)).reshape(-1, 3)[first].tolist()
+        raise DegenerateSourceError(
+            f"field point ({fx}, {fy}, {fz}) coincides with an image location"
+        )
+
+    total = 0.0
+    for weight, dist in terms:
+        total = total + weight / dist
+    total = total / FOUR_PI
+    if green.geometry.kind is GeometryKind.ISOLATED_SPHERE:
+        total = total + radius / (FOUR_PI * r_norm * rp_norm)
+    return float(total) if scalar else total
 
 
 def bosshat_radicals(
@@ -172,30 +191,42 @@ def g_h_bosshat_cylindrical(radius: float, r: Position, r_prime: Position) -> fl
     return (-1.0 / xi - radius * sp / xi_minus + radius * sp / xi_plus) / FOUR_PI
 
 
-def surface_deviation(g: GeometryConfig, p: Position) -> float:
+def surface_deviation(g: GeometryConfig, p):
     """Distance from p to the conductor surface itself (not the region
-    boundary rule): used to validate points claimed to lie on S."""
+    boundary rule): used to validate points claimed to lie on S.  A
+    float for a Position, an array for an array of points."""
+    points = as_points(p)
+    z = points[..., 2]
+    norm = point_norms(points)
     if g.kind is GeometryKind.PLANE:
-        return abs(p.z)
-    if g.kind in (GeometryKind.GROUNDED_SPHERE, GeometryKind.ISOLATED_SPHERE):
-        return abs(p.norm - g.radius)
-    # Boss hat surface: hemisphere {|p|=R, z>=0} union annulus {z=0, rho>=R}.
-    rim = math.hypot(p.rho - g.radius, p.z)
-    d_hemisphere = abs(p.norm - g.radius) if p.z >= 0.0 else rim
-    d_annulus = abs(p.z) if p.rho >= g.radius else rim
-    return min(d_hemisphere, d_annulus)
+        deviation = np.abs(z)
+    elif g.kind in (GeometryKind.GROUNDED_SPHERE, GeometryKind.ISOLATED_SPHERE):
+        deviation = np.abs(norm - g.radius)
+    else:
+        # Boss hat surface: hemisphere {|p|=R, z>=0} union annulus {z=0, rho>=R}.
+        rho = np.hypot(points[..., 0], points[..., 1])
+        rim = np.hypot(rho - g.radius, z)
+        d_hemisphere = np.where(z >= 0.0, np.abs(norm - g.radius), rim)
+        d_annulus = np.where(rho >= g.radius, np.abs(z), rim)
+        deviation = np.minimum(d_hemisphere, d_annulus)
+    return float(deviation) if isinstance(p, Position) else deviation
 
 
 _SURFACE_MEMBERSHIP_RTOL = 1e-9
 
 
-def bc_residual(
-    green: HomogeneousGreen,
-    g: GeometryConfig,
-    r_surface: Position,
-    r_prime: Position,
-) -> float:
-    """Boundary-condition residual at a surface point.
+def _direct(r: np.ndarray, r_prime: np.ndarray) -> np.ndarray:
+    """Free-space part 1/(4*pi*|r - r'|) of the Green function."""
+    d = r - r_prime
+    dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
+    return 1.0 / (FOUR_PI * np.sqrt(dx * dx + dy * dy + dz * dz))
+
+
+def bc_residual(green: HomogeneousGreen, g: GeometryConfig, r_surface, r_prime):
+    """Boundary-condition residual at surface points.
+
+    r_surface and r_prime are Positions, giving a float, or arrays of
+    points of shape (..., 3) that broadcast together, giving an array.
 
     Grounded geometries: the full Green function
     1/(4*pi*|r_s - r'|) + G_H(r_s, r') must vanish on the surface; the
@@ -207,40 +238,32 @@ def bc_residual(
     (grad' G + r'/(4*pi*|r'|^3)), with the gradient taken by central
     differences componentwise.
     """
-    scale = g.radius if g.kind is not GeometryKind.PLANE else max(1.0, r_surface.norm)
-    if surface_deviation(g, r_surface) > _SURFACE_MEMBERSHIP_RTOL * scale:
+    scalar = isinstance(r_surface, Position) and isinstance(r_prime, Position)
+    rs = as_points(r_surface)
+    rp = as_points(r_prime)
+    scale = g.radius if g.kind is not GeometryKind.PLANE else np.maximum(1.0, point_norms(rs))
+    if np.any(surface_deviation(g, rs) > _SURFACE_MEMBERSHIP_RTOL * scale):
         raise ValueError("r_surface does not lie on the conductor surface")
 
     if g.kind is not GeometryKind.ISOLATED_SPHERE:
-        dx = r_surface.x - r_prime.x
-        dy = r_surface.y - r_prime.y
-        dz = r_surface.z - r_prime.z
-        direct = 1.0 / (FOUR_PI * math.sqrt(dx * dx + dy * dy + dz * dz))
-        return direct + g_h(green, r_surface, r_prime)
+        residual = _direct(rs, rp) + g_h(green, rs, rp)
+        return float(residual) if scalar else residual
 
-    def full_green(rp: Position) -> float:
-        ddx = r_surface.x - rp.x
-        ddy = r_surface.y - rp.y
-        ddz = r_surface.z - rp.z
-        direct = 1.0 / (FOUR_PI * math.sqrt(ddx * ddx + ddy * ddy + ddz * ddz))
-        return direct + g_h(green, r_surface, rp)
-
-    h = 1e-6 * max(r_prime.norm, g.radius)
-    rn3 = r_prime.norm ** 3
-    target = (
-        -r_prime.x / (FOUR_PI * rn3),
-        -r_prime.y / (FOUR_PI * rn3),
-        -r_prime.z / (FOUR_PI * rn3),
-    )
-    residual = 0.0
-    for axis in range(3):
-        step = [0.0, 0.0, 0.0]
-        step[axis] = h
-        grad = (
-            full_green(r_prime.shifted(*step)) - full_green(r_prime.shifted(-step[0], -step[1], -step[2]))
-        ) / (2.0 * h)
-        residual = max(residual, abs(grad - target[axis]))
-    return residual
+    rp_norm = point_norms(rp)
+    h = 1e-6 * np.maximum(rp_norm, g.radius)
+    # |r'|^3 through Python's ** (the C library pow), not numpy's power,
+    # which may round differently in the last bit.
+    rn3 = np.array([n**3 for n in np.ravel(rp_norm).tolist()]).reshape(np.shape(rp_norm))
+    target = -rp / (FOUR_PI * rn3)[..., None]
+    # Sources shifted by +h and -h along each axis: shape (..., 2, 3, 3),
+    # sign first, then axis, then component.
+    steps = h[..., None, None] * np.eye(3)
+    shifted = np.stack([rp[..., None, :] + steps, rp[..., None, :] - steps], axis=-3)
+    surface = rs[..., None, None, :]
+    full = _direct(surface, shifted) + g_h(green, surface, shifted)
+    grad = (full[..., 0, :] - full[..., 1, :]) / (2.0 * h[..., None])
+    residual = np.max(np.abs(grad - target), axis=-1)
+    return float(residual) if scalar else residual
 
 
 def surface_sample(

@@ -33,6 +33,7 @@ from .geometry import (
     GeometryConfig,
     Method,
     Position,
+    as_points,
     local_axes,
     physical_region,
     surface_distance,
@@ -61,37 +62,41 @@ class FiniteDipole:
     axis: str | None = None   # informational label of the variance axis
 
 
-def _finite_dipole_energy_green(
-    green: HomogeneousGreen, fd: FiniteDipole, units: UnitSystem
-) -> float:
+def _pair_energies(
+    green: HomogeneousGreen,
+    base: np.ndarray,
+    tip: np.ndarray,
+    q_squared: np.ndarray,
+    units: UnitSystem,
+) -> np.ndarray:
+    """Image energies of charge pairs +q at base, -q at tip, shape (..., 3)
+    points and (...) q^2, with one G_H call over all pairs."""
     g = green.geometry
-    base = fd.center
-    tip = base.shifted(*fd.h_vec)
-    if not (physical_region(g, base) and physical_region(g, tip)):
+    if not np.all(physical_region(g, base) & physical_region(g, tip)):
         raise RegionError("both dipole charges must lie in the physical region")
-    if fd.h_vec == (0.0, 0.0, 0.0):
-        return 0.0   # the four terms cancel identically
-    combination = (
-        g_h(green, base, base)
-        - g_h(green, base, tip)
-        - g_h(green, tip, base)
-        + g_h(green, tip, tip)
+    values = g_h(
+        green,
+        np.stack([base, base, tip, tip], axis=-2),
+        np.stack([base, tip, base, tip], axis=-2),
     )
+    combination = values[..., 0] - values[..., 1] - values[..., 2] + values[..., 3]
     # q^2/(2 eps0) written via 4*pi*eps0 so reduced mode stays exact.
-    return fd.q**2 * (2.0 * math.pi / units.four_pi_epsilon0) * combination
+    return q_squared * (2.0 * math.pi / units.four_pi_epsilon0) * combination
 
 
 def finite_dipole_energy(
     g: GeometryConfig, fd: FiniteDipole, units: UnitSystem = _REDUCED
 ) -> float:
     """Image-interaction energy of a finite two-charge dipole."""
-    return _finite_dipole_energy_green(build_green(g), fd, units)
+    base = as_points(fd.center)
+    tip = base + np.asarray(fd.h_vec, dtype=float)
+    return float(_pair_energies(build_green(g), base, tip, fd.q**2, units))
 
 
 def extrapolated_energy(
     g: GeometryConfig,
     atom: AtomSpec | DipoleVariances,
-    r0: Position,
+    r0: Position | np.ndarray,
     h_schedule: Sequence[float] | None = None,
     units: UnitSystem = _REDUCED,
 ) -> EnergyResult:
@@ -102,56 +107,64 @@ def extrapolated_energy(
     to h = 0; the axis contributions add.  err_estimate combines the
     fit residual with the sensitivity of the extrapolated value to
     dropping the h^4 term.
+
+    r0 is a Position, giving float value and err_estimate, or an (N, 3)
+    array of positions, giving (N,) arrays equal to the per-point
+    results; every sample of the batch comes from one G_H call, and
+    each point and axis keeps its own pair of least-squares fits.
     """
-    if not physical_region(g, r0):
+    points = as_points(r0).reshape(-1, 3)
+    if not np.all(physical_region(g, points)):
         raise RegionError("r0 must lie strictly inside the physical region")
     green = build_green(g)
     v = variances_of(atom)
-    ell = surface_distance(g, r0)
+    ell = surface_distance(g, points)[:, None]
     if h_schedule is None:
-        h_values = np.array([f * ell for f in DEFAULT_H_FRACTIONS])
+        h_values = ell * np.array(DEFAULT_H_FRACTIONS)
     else:
         h_values = np.asarray([float(h) for h in h_schedule])
-    if len(h_values) < 3:
+    if h_values.shape[-1] < 3:
         raise ValueError("h_schedule needs at least 3 steps for the h^2, h^4 fit")
     if not (np.all(h_values > 0.0) and np.all(np.diff(h_values) < 0.0)):
         raise ValueError("h_schedule must be positive and strictly decreasing")
+    h_values = np.broadcast_to(h_values, (len(points), h_values.shape[-1]))
+    x = (h_values / ell) ** 2                                    # (N, K)
 
-    x = (h_values / ell) ** 2
-    design_full = np.column_stack([np.ones_like(x), x, x * x])
-    design_quad = design_full[:, :2]
+    weights = (v.m1, v.m2, v.m3)
+    active = [m for m in range(3) if weights[m] != 0.0]
+    e = local_axes(v.frame, points)[:, active, None, :]          # (N, A, 1, 3)
+    h = h_values[:, None, :, None]                               # (N, 1, K, 1)
+    base = points[:, None, None, :] - 0.5 * h * e                # centered pairs
+    tip = base + h * e
+    q = np.array([math.sqrt(weights[m]) for m in active])[:, None] / h_values[:, None, :]
+    # q^2 through Python's ** (the C library pow), not numpy's power,
+    # which may round differently in the last bit.
+    q_squared = np.array([qq**2 for qq in q.ravel().tolist()]).reshape(q.shape)
+    samples = _pair_energies(green, base, tip, q_squared, units)   # (N, A, K)
 
-    total = 0.0
-    err_total = 0.0
-    axes = local_axes(v.frame, r0)
-    for weight, e, label in zip((v.m1, v.m2, v.m3), axes, ("1", "2", "3")):
-        if weight == 0.0:
-            continue
-        root = math.sqrt(weight)
-        samples = np.empty(len(h_values))
-        for k, h in enumerate(h_values):
-            base = Position(
-                r0.x - 0.5 * h * e[0],
-                r0.y - 0.5 * h * e[1],
-                r0.z - 0.5 * h * e[2],
-            )
-            fd = FiniteDipole(
-                q=root / h,
-                h_vec=(h * e[0], h * e[1], h * e[2]),
-                center=base,
-                axis=label,
-            )
-            samples[k] = _finite_dipole_energy_green(green, fd, units)
-        coef_full, _, _, _ = np.linalg.lstsq(design_full, samples, rcond=None)
-        coef_quad, _, _, _ = np.linalg.lstsq(design_quad, samples, rcond=None)
-        a0 = float(coef_full[0])
-        residual = float(np.max(np.abs(design_full @ coef_full - samples)))
-        err_axis = max(residual, abs(a0 - float(coef_quad[0])))
-        scale = max(abs(a0), float(np.max(np.abs(samples))))
-        if scale > 0.0 and err_axis > _FIT_RTOL * scale:
-            raise ExtrapolationError(
-                f"finite-dipole extrapolation failed to converge on axis {label}"
-            )
-        total += a0
-        err_total += err_axis
-    return EnergyResult(total, err_total, Method.ORACLE, units.mode)
+    totals = []
+    errs = []
+    for i in range(len(points)):
+        design_full = np.column_stack([np.ones_like(x[i]), x[i], x[i] * x[i]])
+        design_quad = design_full[:, :2]
+        total = 0.0
+        err_total = 0.0
+        for k, m in enumerate(active):
+            label = str(m + 1)
+            coef_full, _, _, _ = np.linalg.lstsq(design_full, samples[i, k], rcond=None)
+            coef_quad, _, _, _ = np.linalg.lstsq(design_quad, samples[i, k], rcond=None)
+            a0 = float(coef_full[0])
+            residual = float(np.max(np.abs(design_full @ coef_full - samples[i, k])))
+            err_axis = max(residual, abs(a0 - float(coef_quad[0])))
+            scale = max(abs(a0), float(np.max(np.abs(samples[i, k]))))
+            if scale > 0.0 and err_axis > _FIT_RTOL * scale:
+                raise ExtrapolationError(
+                    f"finite-dipole extrapolation failed to converge on axis {label}"
+                )
+            total += a0
+            err_total += err_axis
+        totals.append(total)
+        errs.append(err_total)
+    if isinstance(r0, Position):
+        return EnergyResult(totals[0], errs[0], Method.ORACLE, units.mode)
+    return EnergyResult(np.array(totals), np.array(errs), Method.ORACLE, units.mode)

@@ -408,3 +408,143 @@ def test_scan_expansion3_method(tmp_path, capsys):
     assert code == 0
     lines = out.read_text().splitlines()
     assert all(line.endswith("expansion3") for line in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        # ZeroDivisionError in the closed form
+        (["energy", "--geometry", "plane", "--isotropic", "1e308", "--z0", "1e-300"], "division"),
+        # ExpansionWindowError, outside the window at the first point
+        (
+            ["scan", "--geometry", "gsphere", "--radius", "1", "--isotropic", "1",
+             "--method", "expansion3", "--from", "2", "--to", "3", "--points", "3"],
+            "at z0=2.0: ",
+        ),
+        # DegenerateSourceError: the squares of 1e-300 underflow to 0
+        (["energy", "--geometry", "plane", "--z0", "1e-300", "--isotropic", "1",
+          "--method", "numeric"], "coincides with an image location"),
+        # the same in a batched scan, which names its first failing point
+        (
+            ["scan", "--geometry", "plane", "--isotropic", "1", "--method", "numeric",
+             "--log", "--from", "1e-300", "--to", "1", "--points", "4"],
+            "at z0=1e-300: ",
+        ),
+    ],
+    ids=["closed-zero-division", "expansion-window", "degenerate-source", "scan-names-x"],
+)
+def test_library_and_arithmetic_errors_exit_2(argv, needle, capsys, tmp_path):
+    out = tmp_path / "scan.csv"
+    if argv[0] == "scan":
+        argv = argv + ["--out", str(out)]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("vdwsurf: ") and err.count("\n") == 1
+    assert needle in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["numeric", "oracle", "closed"])
+def test_scan_with_one_point_outside_region_exits_3(method, capsys, tmp_path):
+    out = tmp_path / "scan.csv"
+    # z0 = 1 lies on the sphere; the other four grid points are outside it
+    code, _, err = run_cli(
+        capsys, "scan", "--geometry", "gsphere", "--radius", "1", "--isotropic", "1",
+        "--method", method, "--from", "1", "--to", "2", "--points", "5", "--out", str(out),
+    )
+    assert code == 3
+    assert "at z0=1.0: " in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--z0", "nan", "--isotropic", "1"],
+        ["--z0", "inf", "--isotropic", "1"],
+        ["--z0", "1", "--rho0=-inf", "--isotropic", "1"],
+        ["--z0", "1", "--radius", "nan", "--isotropic", "1"],
+        ["--z0", "1", "--isotropic", "nan"],
+        ["--z0", "1", "--variances", "1,nan,1"],
+    ],
+    ids=["z0-nan", "z0-inf", "rho0-inf", "radius-nan", "isotropic-nan", "variances-nan"],
+)
+@pytest.mark.parametrize("method", ["closed", "numeric", "oracle"])
+def test_energy_rejects_non_finite_input(flags, method, capsys):
+    code, out, err = run_cli(capsys, "energy", "--geometry", "plane", "--method", method, *flags)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("bad", [["--from", "nan"], ["--to", "inf"], ["--z0", "nan"]])
+def test_scan_rejects_non_finite_input(bad, capsys, tmp_path):
+    out = tmp_path / "scan.csv"
+    argv = ["scan", "--geometry", "plane", "--isotropic", "1", "--var", "rho0",
+            "--z0", "1", "--from", "0", "--to", "1", "--out", str(out)]
+    i = argv.index(bad[0])
+    argv[i + 1] = bad[1]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "finite" in err
+    assert not out.exists()
+
+
+def test_config_file_rejects_non_finite_input(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("geometry = plane\nz0 = nan\nisotropic = 1\n")
+    code, out, err = run_cli(capsys, "energy", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "--z0 must be a finite number" in err
+
+
+def test_energy_overflow_prints_no_invalid_json(capsys):
+    code, out, err = run_cli(
+        capsys, "energy", "--geometry", "plane", "--isotropic", "1e308", "--z0", "1e-3"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("vdwsurf: ")
+
+
+def test_long_scan_in_chunks_equals_per_point_energies(capsys, tmp_path):
+    import numpy as np
+
+    from vdwsurf.evaluator import energy_numeric
+    from vdwsurf.geometry import DipoleVariances, GeometryConfig, Position
+
+    out = tmp_path / "scan.csv"
+    code, _, _ = run_cli(
+        capsys, "scan", "--geometry", "gsphere", "--radius", "1", "--isotropic", "1",
+        "--method", "numeric", "--from", "1.001", "--to", "4", "--points", "600",
+        "--out", str(out),
+    )
+    assert code == 0
+    g = GeometryConfig.grounded_sphere(1.0)
+    v = DipoleVariances.isotropic(1.0)
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 600
+    for x, row in zip(np.linspace(1.001, 4.0, 600).tolist(), rows):
+        result = energy_numeric(g, v, Position(0.0, 0.0, x))
+        assert row == f"{x:.17g},{result.value:.17g},{result.err_estimate:.17g},numeric_ez"
+
+
+def test_long_scan_names_its_first_failing_point_in_a_later_chunk(capsys, tmp_path):
+    import numpy as np
+
+    out = tmp_path / "scan.csv"
+    # rho0 sweeps through the sphere: the first point inside it lies
+    # beyond the first 256 grid points
+    code, _, err = run_cli(
+        capsys, "scan", "--geometry", "isphere", "--radius", "1", "--isotropic", "1",
+        "--method", "oracle", "--var", "rho0", "--z0", "0", "--from", "-10", "--to", "3",
+        "--points", "600", "--out", str(out),
+    )
+    grid = np.linspace(-10.0, 3.0, 600).tolist()
+    first = next(i for i, x in enumerate(grid) if abs(x) <= 1.0)
+    assert first > 256
+    assert code == 3
+    assert f"at rho0={grid[first]!r}: " in err
+    assert not out.exists()

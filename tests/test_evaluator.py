@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,3 +156,20 @@ def test_energy_numeric_si_units_scale():
     reduced = u_plane(ISO, 1.0).value
     factor = reduced_to_si_factor(atom_d2, z0)
     assert want == pytest.approx(reduced * factor, rel=1e-12)
+
+
+def test_energy_numeric_grid_equals_per_point_calls(region_grid):
+    g, variances, points = region_grid
+    batch = energy_numeric(g, variances, points)
+    assert batch.value.shape == batch.err_estimate.shape == (len(points),)
+    for i, p in enumerate(points.tolist()):
+        single = energy_numeric(g, variances, Position(*p))
+        assert batch.value[i] == single.value
+        assert batch.err_estimate[i] == single.err_estimate
+
+
+def test_energy_numeric_grid_rejects_any_point_outside():
+    g = GeometryConfig.grounded_sphere(1.0)
+    grid = np.array([(0.0, 0.0, 2.0), (0.0, 0.0, 0.9), (0.0, 0.0, 3.0)])
+    with pytest.raises(RegionError):
+        energy_numeric(g, ISO, grid)

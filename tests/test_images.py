@@ -1,11 +1,13 @@
 import math
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vdwsurf.errors import DegenerateSourceError
-from vdwsurf.geometry import GeometryConfig, Position
+from vdwsurf.geometry import GeometryConfig, GeometryKind, Position, physical_region
 from vdwsurf.images import (
     bc_residual,
     bosshat_radicals,
@@ -213,3 +215,125 @@ def test_bosshat_sample_covers_boss_and_brim():
         assert p.norm == pytest.approx(1.0, abs=1e-12)
     for p in on_brim:
         assert p.rho > 1.0
+
+
+# Reference for the batched kernel: G_H as it was evaluated before image
+# systems became records, one (r, r') pair at a time through per-image
+# weight and location closures.  Test-only code.
+def _reference_images(config):
+    radius = config.radius
+
+    def mirror(rp):
+        return Position(rp.x, rp.y, -rp.z)
+
+    def kelvin_location(rp):
+        f = radius * radius / (rp.x * rp.x + rp.y * rp.y + rp.z * rp.z)
+        return Position(f * rp.x, f * rp.y, f * rp.z)
+
+    def kelvin_weight(rp):
+        return -radius / rp.norm
+
+    plane = (lambda rp: -1.0, mirror)
+    sphere = (kelvin_weight, kelvin_location)
+    if config.kind is GeometryKind.PLANE:
+        return (plane,)
+    if config.kind is not GeometryKind.BOSS_HAT:
+        return (sphere,)
+    mirrored = (lambda rp: -kelvin_weight(rp), lambda rp: kelvin_location(mirror(rp)))
+    return (sphere, mirrored, plane)
+
+
+def _reference_g_h(config, r, rp):
+    total = 0.0
+    for weight, location in _reference_images(config):
+        loc = location(rp)
+        dx = r.x - loc.x
+        dy = r.y - loc.y
+        dz = r.z - loc.z
+        dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+        if dist <= 8.0 * sys.float_info.epsilon * max(r.norm, loc.norm):
+            raise DegenerateSourceError("field point coincides with an image location")
+        total += weight(rp) / dist
+    total /= FOUR_PI
+    if config.kind is GeometryKind.ISOLATED_SPHERE:
+        total += config.radius / (FOUR_PI * r.norm * rp.norm)
+    return total
+
+
+def _region_points(config, rng, n):
+    """n points of the physical region, a tenth of them within 1e-6 R
+    of the surface (and, for the boss hat, of its rim)."""
+    radius = config.radius or 1.0
+    points = []
+    while len(points) < n:
+        near = len(points) % 10 == 0
+        p = rng.uniform(-3.0, 3.0, size=3) * radius
+        if config.kind in (GeometryKind.PLANE, GeometryKind.BOSS_HAT):
+            p[2] = abs(p[2]) if not near else radius * rng.uniform(1e-7, 1e-6)
+        if config.kind is not GeometryKind.PLANE:
+            norm = np.linalg.norm(p)
+            if near:
+                p = p / norm * radius * (1.0 + rng.uniform(1e-7, 1e-6))
+                p[2] = abs(p[2]) if config.kind is GeometryKind.BOSS_HAT else p[2]
+            elif norm <= 1.05 * radius:
+                continue
+        if physical_region(config, Position(*p.tolist())):
+            points.append(p)
+    return np.array(points)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        GeometryConfig.plane(),
+        GeometryConfig.grounded_sphere(1.3),
+        GeometryConfig.isolated_sphere(0.7),
+        GeometryConfig.boss_hat(1.0),
+    ],
+    ids=["plane", "gsphere", "isphere", "bosshat"],
+)
+def test_batched_g_h_equals_per_image_loop(config):
+    rng = np.random.default_rng(20120411)
+    left = _region_points(config, rng, 500)
+    right = _region_points(config, rng, 500)
+    green = build_green(config)
+    batch = g_h(green, left, right)
+    want = [
+        _reference_g_h(config, Position(*r), Position(*rp))
+        for r, rp in zip(left.tolist(), right.tolist())
+    ]
+    assert batch.shape == (500,)
+    assert batch.tolist() == want
+    # a pair of Positions gives a float with the same bits
+    first = g_h(green, Position(*left[0].tolist()), Position(*right[0].tolist()))
+    assert type(first) is float and first == want[0]
+
+
+def test_batched_degenerate_source_names_first_point():
+    green = build_green(GeometryConfig.grounded_sphere(1.0))
+    # image of (0,0,2) sits at (0,0,1/2); pairs 1 and 2 both hit an image
+    r = np.array([(0.0, 0.0, 3.0), (0.0, 0.0, 0.5), (0.0, 0.25, 0.0)])
+    rp = np.array([(0.0, 0.0, 2.0), (0.0, 0.0, 2.0), (0.0, 4.0, 0.0)])
+    with pytest.raises(DegenerateSourceError, match=r"\(0\.0, 0\.0, 0\.5\)"):
+        g_h(green, r, rp)
+    assert np.all(np.isfinite(g_h(green, r[::2], rp[::2][::-1])))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [GeometryConfig.grounded_sphere(1.0), GeometryConfig.isolated_sphere(1.0)],
+    ids=["gsphere", "isphere"],
+)
+def test_bc_residual_arrays_equal_per_pair_calls(config):
+    green = build_green(config)
+    surface = surface_sample(config, 40, rng_seed=11)
+    sources = [Position(0.4, -0.9, 1.9), Position(-2.0, 0.1, 0.3)] * 20
+    batch = bc_residual(
+        green,
+        config,
+        np.array([(p.x, p.y, p.z) for p in surface]),
+        np.array([(p.x, p.y, p.z) for p in sources]),
+    )
+    assert batch.tolist() == [
+        bc_residual(green, config, rs, rp) for rs, rp in zip(surface, sources)
+    ]

@@ -143,3 +143,22 @@ def test_anisotropic_oracle_weights_axes_independently():
     assert only_z.value == pytest.approx(
         u_plane(DipoleVariances(0, 0, 1.0), z0).value, rel=1e-8
     )
+
+
+def test_extrapolated_energy_grid_equals_per_point_calls(region_grid):
+    g, variances, points = region_grid
+    batch = extrapolated_energy(g, variances, points)
+    assert batch.value.shape == batch.err_estimate.shape == (len(points),)
+    for i, p in enumerate(points.tolist()):
+        single = extrapolated_energy(g, variances, Position(*p))
+        assert batch.value[i] == single.value
+        assert batch.err_estimate[i] == single.err_estimate
+
+
+def test_extrapolated_energy_grid_with_explicit_schedule():
+    g = GeometryConfig.plane()
+    grid = np.array([(0.0, 0.0, 1.0), (0.3, 0.0, 2.0)])
+    schedule = (1e-2, 5e-3, 2.5e-3)
+    batch = extrapolated_energy(g, ISO, grid, h_schedule=schedule)
+    for i, p in enumerate(grid.tolist()):
+        assert batch.value[i] == extrapolated_energy(g, ISO, Position(*p), h_schedule=schedule).value
