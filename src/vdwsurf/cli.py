@@ -30,6 +30,7 @@ for isotropic variances only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -481,9 +482,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser per process, built on the first call to main: parsing
+    leaves no state in it, and building it costs about 1 ms."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         # numpy raises FloatingPointError, an ArithmeticError, where Python
         # floats would raise ZeroDivisionError or carry inf and NaN on

@@ -175,12 +175,17 @@ def local_axes(
     """Unit vectors the three variance components refer to at position p.
 
     For an (N, 3) array of points the axes come as an (N, 3, 3) array,
-    axes[i, m] being the m-th unit vector at point i; each row is built
-    with the scalar math functions, so it equals the Position result.
+    axes[i, m] being the m-th unit vector at point i: the identity,
+    broadcast and read-only, in the Cartesian frame, and rows built
+    with the scalar math functions, equal to the Position result, in
+    the cylindrical frame.
     """
     if not isinstance(p, Position):
-        rows = as_points(p).reshape(-1, 3).tolist()
-        return np.array([local_axes(frame, Position(*row)) for row in rows]).reshape(-1, 3, 3)
+        points = as_points(p).reshape(-1, 3)
+        if frame is VarianceFrame.CARTESIAN:
+            return np.broadcast_to(np.eye(3), (len(points), 3, 3))
+        rows = [local_axes(frame, Position(*row)) for row in points.tolist()]
+        return np.array(rows).reshape(-1, 3, 3)
     if frame is VarianceFrame.CYLINDRICAL_LOCAL:
         ph = p.phi
         c, s = math.cos(ph), math.sin(ph)

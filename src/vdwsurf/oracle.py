@@ -110,8 +110,13 @@ def extrapolated_energy(
 
     r0 is a Position, giving float value and err_estimate, or an (N, 3)
     array of positions, giving (N,) arrays equal to the per-point
-    results; every sample of the batch comes from one G_H call, and
-    each point and axis keeps its own pair of least-squares fits.
+    results.  Every sample of the batch comes from one G_H call, and the
+    points whose design rows (h/ell)^2 agree bit for bit share one pair
+    of least-squares calls, one right-hand side per (point, axis): a few
+    pairs per batch with the default schedule, one pair per distinct
+    distance to the surface with an explicit schedule.  Values, errors
+    and the axis a convergence failure names (that of the first failing
+    point) equal those of separate fits per point and axis.
     """
     points = as_points(r0).reshape(-1, 3)
     if not np.all(physical_region(g, points)):
@@ -142,29 +147,46 @@ def extrapolated_energy(
     q_squared = np.array([qq**2 for qq in q.ravel().tolist()]).reshape(q.shape)
     samples = _pair_energies(green, base, tip, q_squared, units)   # (N, A, K)
 
-    totals = []
-    errs = []
-    for i in range(len(points)):
-        design_full = np.column_stack([np.ones_like(x[i]), x[i], x[i] * x[i]])
+    # points grouped by their bit-equal design row x
+    groups: dict[bytes, list[int]] = {}
+    for i, row in enumerate(x):
+        groups.setdefault(row.tobytes(), []).append(i)
+    n_axes = len(active)
+    a0 = np.zeros((len(points), n_axes))
+    err_axis = np.zeros((len(points), n_axes))
+    failed = np.zeros((len(points), n_axes), dtype=bool)
+    for members in groups.values():
+        xg = x[members[0]]
+        design_full = np.column_stack([np.ones_like(xg), xg, xg * xg])
         design_quad = design_full[:, :2]
-        total = 0.0
-        err_total = 0.0
-        for k, m in enumerate(active):
-            label = str(m + 1)
-            coef_full, _, _, _ = np.linalg.lstsq(design_full, samples[i, k], rcond=None)
-            coef_quad, _, _, _ = np.linalg.lstsq(design_quad, samples[i, k], rcond=None)
-            a0 = float(coef_full[0])
-            residual = float(np.max(np.abs(design_full @ coef_full - samples[i, k])))
-            err_axis = max(residual, abs(a0 - float(coef_quad[0])))
-            scale = max(abs(a0), float(np.max(np.abs(samples[i, k]))))
-            if scale > 0.0 and err_axis > _FIT_RTOL * scale:
-                raise ExtrapolationError(
-                    f"finite-dipole extrapolation failed to converge on axis {label}"
-                )
-            total += a0
-            err_total += err_axis
-        totals.append(total)
-        errs.append(err_total)
+        b = samples[members].reshape(-1, len(xg)).T             # (K, points x axes)
+        coef_full, _, _, _ = np.linalg.lstsq(design_full, b, rcond=None)
+        coef_quad, _, _, _ = np.linalg.lstsq(design_quad, b, rcond=None)
+        # the fitted values summed term by term, as one column's matrix-
+        # vector product does; a matrix product may round differently
+        fitted = (
+            coef_full[0]
+            + design_full[:, 1:2] * coef_full[1]
+            + design_full[:, 2:3] * coef_full[2]
+        )
+        residual = np.max(np.abs(fitted - b), axis=0)
+        err_g = np.maximum(residual, np.abs(coef_full[0] - coef_quad[0]))
+        scale = np.maximum(np.abs(coef_full[0]), np.max(np.abs(b), axis=0))
+        shape = (len(members), n_axes)
+        a0[members] = coef_full[0].reshape(shape)
+        err_axis[members] = err_g.reshape(shape)
+        failed[members] = ((scale > 0.0) & (err_g > _FIT_RTOL * scale)).reshape(shape)
+    if failed.any():
+        # the first failing (point, axis) in point-major order
+        k = int(np.flatnonzero(failed)[0]) % n_axes
+        raise ExtrapolationError(
+            f"finite-dipole extrapolation failed to converge on axis {active[k] + 1}"
+        )
+    total = np.zeros(len(points))
+    err_total = np.zeros(len(points))
+    for k in range(n_axes):   # axis by axis, in the order of the per-point sums
+        total = total + a0[:, k]
+        err_total = err_total + err_axis[:, k]
     if isinstance(r0, Position):
-        return EnergyResult(totals[0], errs[0], Method.ORACLE, units.mode)
-    return EnergyResult(np.array(totals), np.array(errs), Method.ORACLE, units.mode)
+        return EnergyResult(float(total[0]), float(err_total[0]), Method.ORACLE, units.mode)
+    return EnergyResult(total, err_total, Method.ORACLE, units.mode)

@@ -548,3 +548,29 @@ def test_long_scan_names_its_first_failing_point_in_a_later_chunk(capsys, tmp_pa
     assert code == 3
     assert f"at rho0={grid[first]!r}: " in err
     assert not out.exists()
+
+
+def test_back_to_back_calls_share_no_state(tmp_path, capsys):
+    # main reuses one parser per process: no call may see the flags or
+    # config values of the one before
+    import numpy as np
+
+    scan = ["scan", "--geometry", "plane", "--from", "1", "--to", "100", "--points", "4",
+            "--isotropic", "1"]
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("method=numeric\nnormalize=a3\n")
+    outs = [tmp_path / f"{i}.csv" for i in range(3)]
+    assert main(scan + ["--log", "--out", str(outs[0])]) == 0
+    assert main(scan + ["--config", str(cfg), "--out", str(outs[1])]) == 0
+    assert main(scan + ["--out", str(outs[2])]) == 0
+    capsys.readouterr()
+    rows = [[line.split(",") for line in out.read_text().splitlines()[1:]] for out in outs]
+    assert [float(r[0]) for r in rows[0]] == np.geomspace(1.0, 100.0, 4).tolist()
+    assert [float(r[0]) for r in rows[1]] == np.linspace(1.0, 100.0, 4).tolist()
+    assert [float(r[0]) for r in rows[2]] == np.linspace(1.0, 100.0, 4).tolist()
+    assert {r[3] for r in rows[1]} == {"numeric_ez"}
+    assert {r[3] for r in rows[2]} == {"closed_form"}
+    # the config's a3 normalisation (value * z0^3, constant on the plane)
+    # applies to its own call only
+    assert float(rows[2][0][1]) == pytest.approx(-1.0 / 12.0, rel=1e-12)
+    assert float(rows[1][0][1]) == pytest.approx(float(rows[1][-1][1]), rel=1e-6)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -117,3 +118,12 @@ def test_local_axes_cylindrical():
 def test_local_axes_cartesian_ignores_position():
     axes = local_axes(VarianceFrame.CARTESIAN, Position(5, -2, 7))
     assert axes == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("frame", list(VarianceFrame))
+def test_local_axes_of_an_array_equal_per_position_axes(region_grid, frame):
+    _, _, points = region_grid
+    axes = local_axes(frame, points)
+    assert axes.shape == (len(points), 3, 3)
+    for i, p in enumerate(points.tolist()):
+        assert axes[i].tobytes() == np.array(local_axes(frame, Position(*p))).tobytes()

@@ -3,14 +3,30 @@ import math
 import numpy as np
 import pytest
 
-from vdwsurf.errors import RegionError
+from vdwsurf.errors import ExtrapolationError, RegionError
 from vdwsurf.geometry import (
     DipoleVariances,
+    EnergyResult,
     GeometryConfig,
+    Method,
     Position,
     VarianceFrame,
+    as_points,
+    local_axes,
+    physical_region,
+    surface_distance,
+    variances_of,
 )
-from vdwsurf.oracle import FiniteDipole, extrapolated_energy, finite_dipole_energy
+from vdwsurf.images import build_green
+from vdwsurf.oracle import (
+    _FIT_RTOL,
+    DEFAULT_H_FRACTIONS,
+    FiniteDipole,
+    _pair_energies,
+    extrapolated_energy,
+    finite_dipole_energy,
+)
+from vdwsurf.units import UnitSystem
 from vdwsurf.closed import (
     u_bosshat_corrected,
     u_grounded_sphere,
@@ -162,3 +178,133 @@ def test_extrapolated_energy_grid_with_explicit_schedule():
     batch = extrapolated_energy(g, ISO, grid, h_schedule=schedule)
     for i, p in enumerate(grid.tolist()):
         assert batch.value[i] == extrapolated_energy(g, ISO, Position(*p), h_schedule=schedule).value
+
+
+def _per_point_reference(g, atom, r0, h_schedule=None, units=UnitSystem.reduced()):
+    """extrapolated_energy as it was with one pair of least-squares fits
+    per point and axis, kept as the reference of the grouped fits."""
+    points = as_points(r0).reshape(-1, 3)
+    if not np.all(physical_region(g, points)):
+        raise RegionError("r0 must lie strictly inside the physical region")
+    green = build_green(g)
+    v = variances_of(atom)
+    ell = surface_distance(g, points)[:, None]
+    if h_schedule is None:
+        h_values = ell * np.array(DEFAULT_H_FRACTIONS)
+    else:
+        h_values = np.asarray([float(h) for h in h_schedule])
+    h_values = np.broadcast_to(h_values, (len(points), h_values.shape[-1]))
+    x = (h_values / ell) ** 2
+
+    weights = (v.m1, v.m2, v.m3)
+    active = [m for m in range(3) if weights[m] != 0.0]
+    axes = np.array([local_axes(v.frame, Position(*p)) for p in points.tolist()])
+    e = axes[:, active, None, :]
+    h = h_values[:, None, :, None]
+    base = points[:, None, None, :] - 0.5 * h * e
+    tip = base + h * e
+    q = np.array([math.sqrt(weights[m]) for m in active])[:, None] / h_values[:, None, :]
+    q_squared = np.array([qq**2 for qq in q.ravel().tolist()]).reshape(q.shape)
+    samples = _pair_energies(green, base, tip, q_squared, units)
+
+    totals = []
+    errs = []
+    for i in range(len(points)):
+        design_full = np.column_stack([np.ones_like(x[i]), x[i], x[i] * x[i]])
+        design_quad = design_full[:, :2]
+        total = 0.0
+        err_total = 0.0
+        for k, m in enumerate(active):
+            label = str(m + 1)
+            coef_full, _, _, _ = np.linalg.lstsq(design_full, samples[i, k], rcond=None)
+            coef_quad, _, _, _ = np.linalg.lstsq(design_quad, samples[i, k], rcond=None)
+            a0 = float(coef_full[0])
+            residual = float(np.max(np.abs(design_full @ coef_full - samples[i, k])))
+            err_axis = max(residual, abs(a0 - float(coef_quad[0])))
+            scale = max(abs(a0), float(np.max(np.abs(samples[i, k]))))
+            if scale > 0.0 and err_axis > _FIT_RTOL * scale:
+                raise ExtrapolationError(
+                    f"finite-dipole extrapolation failed to converge on axis {label}"
+                )
+            total += a0
+            err_total += err_axis
+        totals.append(total)
+        errs.append(err_total)
+    if isinstance(r0, Position):
+        return EnergyResult(totals[0], errs[0], Method.ORACLE, units.mode)
+    return EnergyResult(np.array(totals), np.array(errs), Method.ORACLE, units.mode)
+
+
+def _outcome(route, *args, **kwargs):
+    """The exact bytes of value and err_estimate, or the error raised."""
+    try:
+        result = route(*args, **kwargs)
+    except ExtrapolationError as exc:
+        return ("ExtrapolationError", str(exc))
+    return (
+        type(result.value),
+        np.asarray(result.value).tobytes(),
+        np.asarray(result.err_estimate).tobytes(),
+    )
+
+
+def _count_lstsq(monkeypatch):
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return calls
+
+
+def test_grouped_fits_equal_per_point_fits(region_grid, monkeypatch):
+    g, variances, points = region_grid
+    want = _outcome(_per_point_reference, g, variances, points)
+    calls = _count_lstsq(monkeypatch)
+    assert _outcome(extrapolated_energy, g, variances, points) == want
+    # the default schedule gives at most three distinct designs per request
+    assert len(calls) <= 6
+    for p in points.tolist():
+        position = Position(*p)
+        assert _outcome(extrapolated_energy, g, variances, position) == _outcome(
+            _per_point_reference, g, variances, position
+        )
+
+
+@pytest.mark.parametrize("near_contact", [True, False], ids=["near-contact", "bulk"])
+def test_grouped_fits_equal_per_point_fits_with_custom_schedule(
+    region_grid, near_contact, monkeypatch
+):
+    # an absolute schedule gives every distance to the surface its own
+    # design; it is scaled to the nearest point of each band, so that
+    # every fit converges
+    g, variances, points = region_grid
+    ell = surface_distance(g, points)
+    band = (ell < 1e-3) == near_contact
+    points, ell = points[band], ell[band]
+    schedule = tuple(float(ell.min()) * f for f in (0.2, 0.1, 0.05))
+    want = _outcome(_per_point_reference, g, variances, points, h_schedule=schedule)
+    assert want[0] is np.ndarray
+    calls = _count_lstsq(monkeypatch)
+    assert _outcome(extrapolated_energy, g, variances, points, h_schedule=schedule) == want
+    assert len(calls) == 2 * len(set(ell.tolist()))
+
+
+def test_extrapolation_error_names_the_first_failing_point_and_axis():
+    # with this coarse schedule the point at z0 = 5 converges, the one at
+    # 1.25 fails on axis 3 only and the one at 0.8 fails on every axis;
+    # point by point, the first failure is axis 3 of the second point
+    g = GeometryConfig.plane()
+    v = DipoleVariances(1.0, 1.0, 1.0)
+    schedule = (0.8, 0.4, 0.2)
+    extrapolated_energy(g, v, Position(0, 0, 5.0), h_schedule=schedule)
+    for z0, axis in ((1.25, 3), (0.8, 1)):
+        with pytest.raises(ExtrapolationError, match=f"on axis {axis}$"):
+            extrapolated_energy(g, v, Position(0, 0, z0), h_schedule=schedule)
+    grid = np.array([(0.0, 0.0, 5.0), (0.0, 0.0, 1.25), (0.0, 0.0, 0.8)])
+    want = _outcome(_per_point_reference, g, v, grid, h_schedule=schedule)
+    assert want == ("ExtrapolationError", "finite-dipole extrapolation failed to converge on axis 3")
+    assert _outcome(extrapolated_energy, g, v, grid, h_schedule=schedule) == want
