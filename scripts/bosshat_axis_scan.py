@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from vdwsurf import DipoleVariances, VarianceFrame, u_bosshat
+from vdwsurf import DipoleVariances, VarianceFrame
+from vdwsurf._errata import u_bosshat
 
 
 def main() -> None:

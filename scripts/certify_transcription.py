@@ -1,9 +1,10 @@
 """Certify the boss-hat angular factors against method-independent
 ground truth.
 
-The package ships two closed-form variants: xi_factors (the transcribed
+Two closed-form variants: vdwsurf._errata.xi_factors (the transcribed
 radial/vertical factors, kept verbatim for provenance) and
-xi_factors_corrected (derived from the image construction). This script
+vdwsurf.closed.xi_factors_corrected (derived from the image
+construction), which the package uses. This script
 evaluates both against the numeric mixed-derivative route and the
 finite-dipole oracle on and off the symmetry axis, printing relative
 deviations. On the axis all four agree; off the axis only the corrected
@@ -25,9 +26,9 @@ from vdwsurf import (
     VarianceFrame,
     energy_numeric,
     extrapolated_energy,
-    u_bosshat,
     u_bosshat_corrected,
 )
+from vdwsurf._errata import u_bosshat
 
 # relative tolerance of acceptance criterion 4
 RTOL = 1e-5

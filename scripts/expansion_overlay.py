@@ -14,11 +14,11 @@ import numpy as np
 from vdwsurf import (
     DipoleVariances,
     VarianceFrame,
-    u_bosshat,
     u_bosshat_expansion3,
     u_grounded_sphere,
     u_sphere_expansion3,
 )
+from vdwsurf._errata import u_bosshat
 
 
 def main() -> None:

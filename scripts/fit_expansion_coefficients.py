@@ -10,10 +10,10 @@ mirror term (see the closed-form module docstrings).
 
 import argparse
 
-from vdwsurf import (
+from vdwsurf import GeometryKind
+from vdwsurf.closed import (
     BOSSHAT_EXPANSION_C3,
     SPHERE_EXPANSION_C3,
-    GeometryKind,
     fit_expansion_coefficients,
 )
 

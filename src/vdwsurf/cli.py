@@ -11,8 +11,9 @@ Exit codes: 0 success, 1 failed validation, 2 invalid arguments
 computed (any library error other than a region violation, or a
 floating-point error), 3 region violation (atom on or inside the
 conductor), 4 unwritable output. A failed scan names the grid value of
-its first failing point. An optional key=value config file mirrors the
-flags; explicit flags win.
+its first failing point. An optional key=value config file can set any
+flag of energy and scan but --config, its keys being the long flags
+without "--"; explicit flags win.
 
 `scan --method numeric|oracle` evaluates its grid in vectorised calls
 of up to 256 points; the other methods go point by point. Numpy
@@ -34,7 +35,7 @@ import functools
 import json
 import math
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -82,22 +83,43 @@ def _parse_config(path: str) -> dict[str, str]:
     return values
 
 
-# config keys whose argparse destination differs from the key itself
-_CONFIG_DESTS = {"from": "from_value", "to": "to_value"}
+def _config_options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """The options of a subcommand that a config file may set, by key:
+    each long flag without its dashes, --config and --help aside."""
+    return {
+        action.option_strings[-1][2:]: action
+        for action in parser._actions
+        if action.default is not argparse.SUPPRESS and action.dest != "config"
+    }
 
 
-def _merge_config(args: argparse.Namespace, fields: dict[str, Callable]) -> None:
-    """Fill None-valued argparse fields from the config file; flags win."""
-    if getattr(args, "config", None) is None:
+def _config_value(action: argparse.Action, key: str, text: str):
+    """What the config line key=text sets the action's destination to."""
+    try:
+        if action.nargs == 0:   # a switch, such as --log
+            return action.const if _parse_bool(text) else None
+        value = (action.type or str)(text)
+    except ValueError as exc:
+        raise ValueError(f"{key}={text}: {exc}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"{key} must be one of {list(action.choices)}, got {text!r}")
+    return value
+
+
+def _merge_config(args: argparse.Namespace) -> None:
+    """Fill the options left unset on the command line from the config
+    file; flags win."""
+    if args.config is None:
         return
     values = _parse_config(args.config)
-    unknown = set(values) - set(fields)
+    options = _config_options(args.parser)
+    unknown = set(values) - set(options)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key, convert in fields.items():
-        dest = _CONFIG_DESTS.get(key, key)
-        if values.get(key) is not None and getattr(args, dest, None) is None:
-            setattr(args, dest, convert(values[key]))
+    for key, text in values.items():
+        action = options[key]
+        if getattr(args, action.dest) is None:
+            setattr(args, action.dest, _config_value(action, key, text))
 
 
 def _parse_bool(text: str) -> bool:
@@ -117,34 +139,24 @@ def _parse_variances(text: str) -> tuple[float, float, float]:
     return (m1, m2, m3)
 
 
-def _choice(name: str, options: Sequence[str]) -> Callable[[str], str]:
-    def convert(text: str) -> str:
-        if text not in options:
-            raise ValueError(f"{name} must be one of {list(options)}, got {text!r}")
-        return text
-
-    return convert
-
-
-# numeric arguments, by argparse destination, that must be finite
-_FINITE_FLAGS = {
-    "radius": "--radius",
-    "z0": "--z0",
-    "rho0": "--rho0",
-    "isotropic": "--isotropic",
-    "from_value": "--from",
-    "to_value": "--to",
-}
-
-
 def _require_finite(args: argparse.Namespace) -> None:
     """Reject NaN and infinite numbers, from flags or the config file."""
-    for dest, flag in _FINITE_FLAGS.items():
-        value = getattr(args, dest, None)
-        if value is not None and not math.isfinite(value):
+    for action in args.parser._actions:
+        value = getattr(args, action.dest, None)
+        if action.type is float and value is not None and not math.isfinite(value):
+            flag = action.option_strings[-1]
             raise ValueError(f"{flag} must be a finite number, got {value!r}")
     if args.variances is not None and not all(math.isfinite(m) for m in args.variances):
         raise ValueError(f"--variances must be finite numbers, got {args.variances!r}")
+
+
+def _required(args: argparse.Namespace, dest: str):
+    """The value of an option that has no default, named by its flag if unset."""
+    value = getattr(args, dest)
+    if value is None:
+        flag = next(a.option_strings[-1] for a in args.parser._actions if a.dest == dest)
+        raise ValueError(f"{flag} is required")
+    return value
 
 
 def _resolve_variances(args: argparse.Namespace, frame: VarianceFrame) -> DipoleVariances:
@@ -230,55 +242,28 @@ def _point_energy(
     return _expansion3_energy(g, variances, rho0, z0, units)
 
 
-_ENERGY_CONFIG_FIELDS: dict[str, Callable] = {
-    "geometry": _choice("geometry", _GEOMETRY_CHOICES),
-    "radius": float,
-    "z0": float,
-    "rho0": float,
-    "variances": _parse_variances,
-    "isotropic": float,
-    "units": _choice("units", ("si", "reduced")),
-    "method": _choice("method", _METHOD_CHOICES),
-}
-
-_SCAN_CONFIG_FIELDS: dict[str, Callable] = {
-    "geometry": _choice("geometry", _GEOMETRY_CHOICES),
-    "radius": float,
-    "z0": float,
-    "rho0": float,
-    "variances": _parse_variances,
-    "isotropic": float,
-    "units": _choice("units", ("si", "reduced")),
-    "method": _choice("method", _SCAN_METHOD_CHOICES),
-    "var": _choice("var", ("z0", "rho0")),
-    "from": float,
-    "to": float,
-    "points": int,
-    "log": _parse_bool,
-    "normalize": _choice("normalize", ("none", "R3", "a3")),
-    "out": str,
-}
-
-
-def cmd_energy(args: argparse.Namespace) -> int:
-    _merge_config(args, _ENERGY_CONFIG_FIELDS)
-    _require_finite(args)
-    if args.geometry is None:
-        raise ValueError("--geometry is required")
-    if args.z0 is None:
-        raise ValueError("--z0 is required")
-    rho0 = 0.0 if args.rho0 is None else args.rho0
-    units_name = args.units or "reduced"
-    method = args.method or "closed"
-    units = UnitSystem(Mode(units_name))
+def _setup(args: argparse.Namespace) -> tuple[UnitSystem, GeometryConfig, DipoleVariances]:
+    """Units, geometry and variances of an energy or scan command, the
+    variances read in the frame of the geometry."""
+    units = UnitSystem(Mode(args.units or "reduced"))
     g = _geometry_from_args(args.geometry, args.radius)
     frame = (
         VarianceFrame.CYLINDRICAL_LOCAL
         if g.kind is GeometryKind.BOSS_HAT
         else VarianceFrame.CARTESIAN
     )
-    variances = _resolve_variances(args, frame)
-    result = _point_energy(method, g, variances, rho0, args.z0, units)
+    return units, g, _resolve_variances(args, frame)
+
+
+def cmd_energy(args: argparse.Namespace) -> int:
+    _merge_config(args)
+    _require_finite(args)
+    _required(args, "geometry")
+    z0 = _required(args, "z0")
+    rho0 = 0.0 if args.rho0 is None else args.rho0
+    method = args.method or "closed"
+    units, g, variances = _setup(args)
+    result = _point_energy(method, g, variances, rho0, z0, units)
     err = result.err_estimate if math.isfinite(result.err_estimate) else None
     payload = {
         "energy": result.value,
@@ -288,7 +273,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
         "inputs": {
             "geometry": args.geometry,
             "radius": g.radius,
-            "z0": args.z0,
+            "z0": z0,
             "rho0": rho0,
             "variances": [variances.m1, variances.m2, variances.m3],
             "variance_frame": variances.frame.value,
@@ -349,23 +334,16 @@ def _chunk_energies(
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    _merge_config(args, _SCAN_CONFIG_FIELDS)
+    _merge_config(args)
     _require_finite(args)
-    for name, flag in (
-        ("geometry", "--geometry"),
-        ("from_value", "--from"),
-        ("to_value", "--to"),
-        ("out", "--out"),
-    ):
-        if getattr(args, name, None) is None:
-            raise ValueError(f"{flag} is required")
-    lo = args.from_value
-    hi = args.to_value
+    _required(args, "geometry")
+    lo = _required(args, "from_value")
+    hi = _required(args, "to_value")
+    out = _required(args, "out")
     var = args.var or "z0"
     points = args.points if args.points is not None else 50
     log = bool(args.log)
     normalize = args.normalize or "none"
-    units_name = args.units or "reduced"
     method = args.method or "closed"
     rho0_fixed = 0.0 if args.rho0 is None else args.rho0
     z0_fixed = args.z0
@@ -375,14 +353,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if var == "rho0" and z0_fixed is None:
         raise ValueError("--z0 is required when sweeping rho0")
 
-    units = UnitSystem(Mode(units_name))
-    g = _geometry_from_args(args.geometry, args.radius)
-    frame = (
-        VarianceFrame.CYLINDRICAL_LOCAL
-        if g.kind is GeometryKind.BOSS_HAT
-        else VarianceFrame.CARTESIAN
-    )
-    variances = _resolve_variances(args, frame)
+    units, g, variances = _setup(args)
 
     if log:
         if lo <= 0.0 or hi <= 0.0:
@@ -410,12 +381,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
             rows.append((x, value, err))
 
     try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("x,value,err,method\n")
             for x, value, err in rows:
                 fh.write(f"{x:.17g},{value:.17g},{err:.17g},{method_name}\n")
     except OSError as exc:
-        sys.stderr.write(f"vdwsurf: cannot write {args.out!r}: {exc}\n")
+        sys.stderr.write(f"vdwsurf: cannot write {out!r}: {exc}\n")
         return 4
     return 0
 
@@ -449,8 +420,16 @@ def _add_common_energy_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None, help="key=value file mirroring the flags; flags win")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one `vdwsurf: ...` line on stderr,
+    exit 2, like every other failure; its subcommands inherit it."""
+
+    def error(self, message: str):
+        self.exit(2, f"vdwsurf: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vdwsurf",
         description="Dispersion energies near grounded and isolated conductor surfaces.",
     )
@@ -459,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_energy = sub.add_parser("energy", help="single-point energy as JSON")
     _add_common_energy_flags(p_energy)
     p_energy.add_argument("--method", choices=_METHOD_CHOICES, default=None)
-    p_energy.set_defaults(handler=cmd_energy)
+    p_energy.set_defaults(handler=cmd_energy, parser=p_energy)
 
     p_scan = sub.add_parser("scan", help="sweep z0 or rho0 into a CSV file")
     _add_common_energy_flags(p_scan)
@@ -471,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--log", action="store_const", const=True, default=None)
     p_scan.add_argument("--normalize", choices=("none", "R3", "a3"), default=None)
     p_scan.add_argument("--out", default=None, metavar="FILE")
-    p_scan.set_defaults(handler=cmd_scan)
+    p_scan.set_defaults(handler=cmd_scan, parser=p_scan)
 
     p_validate = sub.add_parser("validate", help="run invariant suites")
     p_validate.add_argument(

@@ -1,14 +1,10 @@
 """Closed-form dispersion energies for the four conductor geometries.
 
-The hemisphere-on-plane ("boss hat") angular factors ship in two
-variants.  xi_factors/u_bosshat follow the transcribed reference
-expressions verbatim; xi_factors_corrected/u_bosshat_corrected are
-derived independently from the image construction.  Off the symmetry
-axis the transcribed rho and z factors disagree with the image
-construction (the discrepancy is certified against the numeric
-evaluator and the finite-dipole oracle); on the axis the two variants
-coincide.  The corrected variant is the accurate one; the transcribed
-variant is retained so the discrepancy can be demonstrated and tested.
+The hemisphere-on-plane ("boss hat") angular factors,
+xi_factors_corrected/u_bosshat_corrected, are derived from the image
+construction.  The transcribed reference expressions, wrong off the
+symmetry axis, live in vdwsurf._errata so the discrepancy can be
+demonstrated and tested.
 
 Near-contact third-order expansion coefficients are not taken on
 trust; fit_expansion_coefficients recovers them from the exact forms
@@ -133,14 +129,12 @@ def u_isolated_sphere(
 class BossHatXi:
     """Evaluated boss-hat angular factors at one position.
 
-    xi_rho, xi_phi, xi_z are dimensionless; zeta is the auxiliary
-    polynomial appearing inside xi_z (dimension length^12).
+    xi_rho, xi_phi, xi_z are dimensionless.
     """
 
     xi_rho: float
     xi_phi: float
     xi_z: float
-    zeta: float
 
 
 def _check_bosshat_region(radius: float, rho0: float, z0: float) -> None:
@@ -152,58 +146,13 @@ def _check_bosshat_region(radius: float, rho0: float, z0: float) -> None:
         )
 
 
-def xi_factors(radius: float, rho0: float, z0: float) -> BossHatXi:
-    """Boss-hat angular factors, transcribed reference form.
-
-    Known defects certified against the image construction (see
-    xi_factors_corrected): the rho-factor numerator carries a wrong
-    sign on its R^4*rho0^2 term and the zeta polynomial is wrong off
-    the axis.  On the axis (rho0 = 0) all three factors are exact, and
-    at R = 0 they reduce to the plane values (1, 1, 2) exactly.
-    """
-    _check_bosshat_region(radius, rho0, z0)
-    r2 = radius * radius
-    p2 = rho0 * rho0
-    z2 = z0 * z0
-    a = (p2 + z2 + r2) ** 2 - 4.0 * r2 * p2
-    a32 = a * math.sqrt(a)
-    a52 = a * a * math.sqrt(a)
-    d3 = (p2 + z2 - r2) ** 3
-    w = 8.0 * radius * z0**3
-
-    num_rho = ((r2 + z2) ** 2 + (r2 - p2 - 8.0 * z2) * p2) * r2 + (z2 + p2) ** 2 * p2
-    xi_rho = 1.0 - w * (num_rho / a52 - (p2 + r2) / d3)
-
-    xi_phi = 1.0 + w * r2 * (1.0 / d3 - 1.0 / a32)
-
-    zeta = (
-        -r2
-        * p2
-        * (
-            -10.0 * p2**2 * z2**2
-            - 10.0 * p2**2 * r2 * z2
-            - 10.0 * r2**2 * p2**2
-            + 8.0 * p2 * r2**2 * z2
-            - z2**4
-            + 2.0 * p2**3 * z2
-            + 8.0 * p2 * z2**3
-            - 36.0 * p2 * r2 * z2**2
-            + 10.0 * p2 * r2**3
-        )
-        - (r2**2 - z2**2) ** 2 * (r2 - z2) ** 2
-        - 5.0 * p2 * z2**2 * (z2 + p2) * ((z2 + p2) ** 2 - p2 * z2)
-    )
-    xi_z = 2.0 + (w / d3) * (r2 + z2 + zeta / a52)
-    return BossHatXi(xi_rho, xi_phi, xi_z, zeta)
-
-
 def xi_factors_corrected(radius: float, rho0: float, z0: float) -> BossHatXi:
     """Boss-hat angular factors derived from the image construction.
 
     Matches the numeric evaluator and finite-dipole oracle to
     floating-point accuracy on and off the axis.  Differences from the
-    transcribed form: the rho numerator term +R^4*rho0^2 becomes
-    -R^4*rho0^2 (sign), and zeta is replaced by
+    transcribed form (vdwsurf._errata.xi_factors): the rho numerator
+    term +R^4*rho0^2 becomes -R^4*rho0^2 (sign), and zeta is replaced by
     [(R^2-z0^2)((R^2+z0^2)^2+rho0^4) - 2 rho0^2 (R^4+4R^2 z0^2+z0^4)]
     times (rho0^2+z0^2-R^2)^3.  The phi factor is identical.
     """
@@ -227,7 +176,7 @@ def xi_factors_corrected(radius: float, rho0: float, z0: float) -> BossHatXi:
         r2 * r2 + 4.0 * r2 * z2 + z2 * z2
     )
     xi_z = 2.0 + w * ((r2 + z2) / d3 + w_z / a52)
-    return BossHatXi(xi_rho, xi_phi, xi_z, w_z * d3)
+    return BossHatXi(xi_rho, xi_phi, xi_z)
 
 
 def _u_from_xi(
@@ -237,28 +186,6 @@ def _u_from_xi(
     return -(v.m1 * xi.xi_rho + v.m2 * xi.xi_phi + v.m3 * xi.xi_z) / (
         16.0 * units.four_pi_epsilon0 * z0**3
     )
-
-
-def u_bosshat(
-    variances: DipoleVariances,
-    rho0: float,
-    z0: float,
-    radius: float,
-    units: UnitSystem = _REDUCED,
-) -> EnergyResult:
-    """Boss-hat dispersion energy using the transcribed angular factors.
-
-    U = -(1/64*pi*eps0*z0^3) * [<d_rho^2> Xi_rho + <d_phi^2> Xi_phi
-                                + <d_z^2> Xi_z]
-
-    Variance components are read in the local cylindrical frame
-    (rho, phi, z).  Off the symmetry axis the transcribed factors are
-    known to be wrong; use u_bosshat_corrected for accurate values
-    (identical on the axis).
-    """
-    xi = xi_factors(radius, rho0, z0)
-    value = _u_from_xi(variances, z0, xi, units)
-    return EnergyResult(value, 0.0, Method.CLOSED_FORM, units.mode)
 
 
 def u_bosshat_corrected(
@@ -327,7 +254,7 @@ def sphere_bracket(s: float) -> float:
 def bosshat_axis_bracket(s: float) -> float:
     """Same normalization for the isotropic on-axis boss-hat energy."""
     v = DipoleVariances.isotropic(1.0, VarianceFrame.CYLINDRICAL_LOCAL)
-    u = u_bosshat(v, 0.0, 1.0 + s, 1.0, _REDUCED)
+    u = u_bosshat_corrected(v, 0.0, 1.0 + s, 1.0, _REDUCED)
     return -12.0 * s**3 * u.value
 
 

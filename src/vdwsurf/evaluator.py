@@ -32,7 +32,6 @@ from .geometry import (
     Position,
     as_points,
     local_axes,
-    physical_region,
     point_norms,
     surface_distance,
     variances_of,
@@ -84,10 +83,9 @@ def _mixed_second(
     (nan for a single level).  Every stencil point of every point,
     direction and level goes to G_H in one call.
     """
-    g = green.geometry
-    if not np.all(physical_region(g, points)):
+    dist = surface_distance(green.geometry, points)
+    if not np.all(dist > 0.0):
         raise RegionError("r0 must lie strictly inside the physical region")
-    dist = surface_distance(g, points)
     norm = point_norms(points)
     scale = np.maximum(dist, 0.01 * norm)
     h0 = settings.base_step * scale

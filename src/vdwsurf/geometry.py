@@ -51,9 +51,6 @@ class Position:
     def from_cylindrical(cls, rho: float, phi: float, z: float) -> "Position":
         return cls(rho * math.cos(phi), rho * math.sin(phi), z)
 
-    def shifted(self, dx: float = 0.0, dy: float = 0.0, dz: float = 0.0) -> "Position":
-        return Position(self.x + dx, self.y + dy, self.z + dz)
-
 
 def as_points(p: Position | np.ndarray) -> np.ndarray:
     """Coordinates of a Position as a (3,) array, or of an array of
@@ -67,13 +64,6 @@ def point_norms(points: np.ndarray) -> np.ndarray:
     """|p| along the last axis, summed in the order of Position.norm."""
     x, y, z = points[..., 0], points[..., 1], points[..., 2]
     return np.sqrt(x * x + y * y + z * z)
-
-
-def _z_and_norm(p: Position | np.ndarray):
-    if isinstance(p, Position):
-        return p.z, p.norm
-    points = as_points(p)
-    return points[..., 2], point_norms(points)
 
 
 def to_cylindrical(p: Position) -> tuple[float, float, float]:
@@ -109,28 +99,27 @@ class GeometryConfig:
         return cls(GeometryKind.BOSS_HAT, radius)
 
 
-def physical_region(g: GeometryConfig, p: Position | np.ndarray):
-    """True where p lies strictly in the vacuum region outside the
-    conductor: a bool for a Position, a bool array for an array."""
-    z, norm = _z_and_norm(p)
-    if g.kind is GeometryKind.PLANE:
-        return z > 0.0
-    if g.kind in (GeometryKind.GROUNDED_SPHERE, GeometryKind.ISOLATED_SPHERE):
-        return norm > g.radius
-    return (z > 0.0) & (norm > g.radius)
-
-
 def surface_distance(g: GeometryConfig, p: Position | np.ndarray):
     """Distance from p to the conductor; positive inside the physical
-    region.  A float for a Position, an array for an array of points."""
-    z, norm = _z_and_norm(p)
+    region, NaN where a coordinate it depends on is NaN (z for the
+    plane, any for the others).  A float for a Position, an array for
+    an array of points."""
+    points = as_points(p)
+    z = points[..., 2]
     if g.kind is GeometryKind.PLANE:
-        return z
-    if g.kind in (GeometryKind.GROUNDED_SPHERE, GeometryKind.ISOLATED_SPHERE):
-        return norm - g.radius
-    if isinstance(p, Position):
-        return min(z, norm - g.radius)
-    return np.minimum(z, norm - g.radius)
+        distance = z
+    elif g.kind in (GeometryKind.GROUNDED_SPHERE, GeometryKind.ISOLATED_SPHERE):
+        distance = point_norms(points) - g.radius
+    else:
+        distance = np.minimum(z, point_norms(points) - g.radius)
+    return float(distance) if isinstance(p, Position) else distance
+
+
+def physical_region(g: GeometryConfig, p: Position | np.ndarray):
+    """True where p lies strictly in the vacuum region outside the
+    conductor, that is where its surface distance is positive: a bool
+    for a Position, a bool array for an array."""
+    return surface_distance(g, p) > 0.0
 
 
 class VarianceFrame(enum.Enum):

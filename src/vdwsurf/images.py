@@ -151,46 +151,6 @@ def g_h(green: HomogeneousGreen, r, r_prime):
     return float(total) if scalar else total
 
 
-def bosshat_radicals(
-    radius: float, r: Position, r_prime: Position
-) -> tuple[float, float, float]:
-    """Cylindrical-form distances (xi, xi_minus, xi_plus) for the boss hat.
-
-    xi        distance from r to the plane image of r'
-    xi_minus  |r'|^2 times the distance from r to the sphere image of r'
-    xi_plus   |r'|^2 times the distance from r to the mirrored sphere image
-
-    These closed radicals are an independent evaluation path used to
-    cross-check the Cartesian image distances.
-    """
-    rho, phi, z = r.rho, r.phi, r.z
-    rhop, phip, zp = r_prime.rho, r_prime.phi, r_prime.z
-    s2 = rhop * rhop + zp * zp
-    c = math.cos(phip - phi)
-    r2 = radius * radius
-    cross = 2.0 * rhop * rho * c
-    xi = math.sqrt(rhop * rhop + rho * rho + (zp + z) ** 2 - cross)
-    xi_minus = math.sqrt(
-        r2 * r2 * rhop * rhop + s2 * s2 * rho * rho + (s2 * z - r2 * zp) ** 2 - r2 * s2 * cross
-    )
-    xi_plus = math.sqrt(
-        r2 * r2 * rhop * rhop + s2 * s2 * rho * rho + (s2 * z + r2 * zp) ** 2 - r2 * s2 * cross
-    )
-    return xi, xi_minus, xi_plus
-
-
-def g_h_bosshat_cylindrical(radius: float, r: Position, r_prime: Position) -> float:
-    """Boss-hat G_H from the three-term cylindrical radical form.
-
-    Equals g_h(build_green(boss_hat), r, r') to floating-point accuracy;
-    kept as a verification path because long radicals are easy to
-    mistype in either representation.
-    """
-    xi, xi_minus, xi_plus = bosshat_radicals(radius, r, r_prime)
-    sp = math.sqrt(r_prime.rho ** 2 + r_prime.z ** 2)
-    return (-1.0 / xi - radius * sp / xi_minus + radius * sp / xi_plus) / FOUR_PI
-
-
 def surface_deviation(g: GeometryConfig, p):
     """Distance from p to the conductor surface itself (not the region
     boundary rule): used to validate points claimed to lie on S.  A

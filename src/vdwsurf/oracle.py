@@ -59,7 +59,6 @@ class FiniteDipole:
     q: float
     h_vec: tuple[float, float, float]
     center: Position
-    axis: str | None = None   # informational label of the variance axis
 
 
 def _pair_energies(
@@ -119,11 +118,11 @@ def extrapolated_energy(
     point) equal those of separate fits per point and axis.
     """
     points = as_points(r0).reshape(-1, 3)
-    if not np.all(physical_region(g, points)):
+    ell = surface_distance(g, points)[:, None]
+    if not np.all(ell > 0.0):
         raise RegionError("r0 must lie strictly inside the physical region")
     green = build_green(g)
     v = variances_of(atom)
-    ell = surface_distance(g, points)[:, None]
     if h_schedule is None:
         h_values = ell * np.array(DEFAULT_H_FRACTIONS)
     else:

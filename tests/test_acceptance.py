@@ -14,27 +14,25 @@ import time
 import numpy as np
 
 from vdwsurf import (
-    BOSSHAT_EXPANSION_C3,
     DipoleVariances,
     GeometryConfig,
     GeometryKind,
     Position,
-    SPHERE_EXPANSION_C3,
     VarianceFrame,
     energy_numeric,
     extrapolated_energy,
-    fit_expansion_coefficients,
-    h_dipole_dipole,
-    u_bosshat,
     u_bosshat_corrected,
     u_grounded_sphere,
     u_isolated_sphere,
-    u_london,
-    u_orientation,
     u_plane,
-    u_retarded_cp,
-    u_wang,
 )
+from vdwsurf._errata import u_bosshat
+from vdwsurf.closed import (
+    BOSSHAT_EXPANSION_C3,
+    SPHERE_EXPANSION_C3,
+    fit_expansion_coefficients,
+)
+from vdwsurf.pairs import h_dipole_dipole, u_london, u_orientation, u_retarded_cp, u_wang
 from vdwsurf.cli import main as cli_main
 from vdwsurf.units import UnitSystem
 from vdwsurf.validate import suite_bc, suite_symmetry

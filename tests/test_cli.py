@@ -1,9 +1,14 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vdwsurf.cli import main
+from vdwsurf.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -574,3 +579,225 @@ def test_back_to_back_calls_share_no_state(tmp_path, capsys):
     # applies to its own call only
     assert float(rows[2][0][1]) == pytest.approx(-1.0 / 12.0, rel=1e-12)
     assert float(rows[1][0][1]) == pytest.approx(float(rows[1][-1][1]), rel=1e-6)
+
+
+# --- config/flag equivalence and CLI fuzzing, driven by the parser's own options
+
+
+def _subcommand(name):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+def _config_options(command):
+    """(key, action) of every option of a subcommand that a config file
+    may set: all but --help and --config, keyed by the flag without --."""
+    return [
+        (action.option_strings[-1][2:], action)
+        for action in _subcommand(command)._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    ]
+
+
+# A valid command of each kind, and for each option a value that changes
+# it and a second value; an option added later takes generic values.
+_BASE = {
+    "energy": {"geometry": "bosshat", "radius": "1.5", "z0": "1.7", "rho0": "0.4",
+               "variances": "0.5,1,2", "method": "numeric"},
+    "scan": {"geometry": "bosshat", "radius": "1.5", "z0": "1.7", "rho0": "0.4",
+             "variances": "0.5,1,2", "method": "numeric", "var": "z0", "from": "1.6",
+             "to": "3", "points": "5"},
+}
+_VALUES = {
+    "geometry": ("gsphere", "bosshat"), "radius": ("1.2", "1.5"), "z0": ("2.2", "1.7"),
+    "rho0": ("0.3", "0.4"), "variances": ("1,2,3", "0.5,1,2"), "isotropic": ("2", "3"),
+    "units": ("si", "reduced"), "method": ("oracle", "numeric"), "var": ("rho0", "z0"),
+    "from": ("1.8", "1.6"), "to": ("2.5", "3"), "points": ("4", "5"),
+    "log": ("yes", "no"), "normalize": ("a3", "R3"),
+}
+
+
+def _values(key, action):
+    if key in _VALUES:
+        return _VALUES[key]
+    if action.nargs == 0:
+        return ("yes", "no")
+    if action.choices is not None:
+        return (str(list(action.choices)[-1]), str(list(action.choices)[0]))
+    if action.type is int:
+        return ("3", "2")
+    return ("0.75", "0.5")
+
+
+def _flag_argv(action, text):
+    flag = action.option_strings[-1]
+    if action.nargs == 0:
+        return [flag] if text in ("1", "true", "yes", "on") else []
+    return [f"{flag}={text}"]
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse rejects the command line
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _equivalence_cases():
+    return [
+        pytest.param(command, key, id=f"{command}-{key}")
+        for command in ("energy", "scan")
+        for key, _ in _config_options(command)
+    ]
+
+
+@pytest.mark.parametrize("command,key", _equivalence_cases())
+def test_a_config_line_equals_its_flag_and_the_flag_wins(command, key, tmp_path):
+    options = dict(_config_options(command))
+    action = options[key]
+    value, other = _values(key, action)
+    values = dict(_BASE[command])
+    values.pop(key, None)
+    if key == "isotropic":
+        values.pop("variances")   # the two are exclusive
+
+    def run(name, flag_value, config_value):
+        argv = [command]
+        for k, text in values.items():
+            argv += _flag_argv(options[k], text)
+        lines = []
+        if key == "out":   # the path a flag gives wins over the config's
+            if flag_value is not None:
+                flag_value = str(tmp_path / f"{name}.csv")
+            if config_value is not None:
+                config_value = str(tmp_path / f"{name}{'-config' if flag_value else ''}.csv")
+        elif command == "scan":
+            argv += ["--out", str(tmp_path / f"{name}.csv")]
+        if flag_value is not None:
+            argv += _flag_argv(action, flag_value)
+        if config_value is not None:
+            lines.append(f"{key}={config_value}")
+        if lines:
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text("\n".join(lines) + "\n")
+            argv += ["--config", str(cfg)]
+        code, out, err = _run(argv)
+        csv = tmp_path / f"{name}.csv"
+        return code, out, err, csv.read_bytes() if csv.exists() else None
+
+    flag = run("flag", value, None)
+    if key in _VALUES:
+        assert flag[0] == 0, flag[2]
+    assert run("config", None, value) == flag
+    assert run("both", value, other) == flag
+    assert not (tmp_path / "both-config.csv").exists()
+
+
+def _bad_value_cases():
+    cases = []
+    for command in ("energy", "scan"):
+        for key, action in _config_options(command):
+            if action.choices is not None:
+                bad = "nosuch"
+            elif action.type is not None or action.nargs == 0:
+                bad = "x"
+            else:
+                continue   # a free string, such as a path, has no bad value
+            cases.append(pytest.param(command, key, bad, id=f"{command}-{key}={bad}"))
+    return cases
+
+
+@pytest.mark.parametrize("command,key,bad", _bad_value_cases())
+def test_a_bad_config_value_exits_2_naming_its_key(command, key, bad, tmp_path):
+    values = dict(_BASE[command])
+    values[key] = bad
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+    argv = [command, "--config", str(cfg)]
+    if command == "scan":
+        argv += ["--out", str(tmp_path / "scan.csv")]
+    code, out, err = _run(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("vdwsurf: ") and err.count("\n") == 1
+    assert key in err
+    assert not (tmp_path / "scan.csv").exists()
+
+
+_ORDINARY = st.floats(0.1, 10.0).map(repr)
+# huge, tiny, zero, negative, NaN and inf, the edge cases drawn often
+_EDGE = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, -1.0, 1e308, -1e308, 1e-300, 5e-324,
+                     math.nan, math.inf, -math.inf]),
+).map(repr)
+_JUNK = st.text(st.characters(min_codepoint=33, max_codepoint=126), max_size=6)
+
+
+def _value_strategy(action, numbers):
+    if action.choices is not None:
+        return st.sampled_from([str(c) for c in action.choices])
+    if action.type is float:
+        return numbers
+    return st.lists(numbers, min_size=3, max_size=3).map(",".join)   # the variances
+
+
+_ENERGY_OPTIONS = _config_options("energy")
+
+
+@st.composite
+def _energy_requests(draw):
+    """Options of an energy command, each absent, a flag or a config
+    line, with ordinary values but one option in most requests, which
+    is an edge-case number or junk.  In most requests only one of the
+    exclusive --variances and --isotropic is given."""
+    request = []
+    for key, action in _ENERGY_OPTIONS:
+        where = draw(st.sampled_from(["absent"] + ["flag", "config"] * 3))
+        if where != "absent":
+            request.append([where, key, action, draw(_value_strategy(action, _ORDINARY))])
+    keys = [key for _, key, _, _ in request]
+    if {"variances", "isotropic"} <= set(keys) and draw(st.integers(0, 3)) > 0:
+        del request[keys.index(draw(st.sampled_from(["variances", "isotropic"])))]
+    twist = draw(st.sampled_from(["none", "edge", "edge", "junk"]))
+    if request and twist != "none":
+        option = request[draw(st.integers(0, len(request) - 1))]
+        numbers = st.one_of(_ORDINARY, _EDGE) if option[1] == "variances" else _EDGE
+        option[3] = draw(_JUNK if twist == "junk" else _value_strategy(option[2], numbers))
+    return request
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(request=_energy_requests())
+def test_energy_fuzz_exits_cleanly(request, tmp_path_factory):
+    argv = ["energy"]
+    lines = []
+    for where, key, action, text in request:
+        if where == "flag":
+            argv += _flag_argv(action, text)
+        else:
+            lines.append(f"{key}={text}")
+    if lines:
+        cfg = tmp_path_factory.getbasetemp() / "fuzz-energy.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        argv += ["--config", str(cfg)]
+    code, out, err = _run(argv)
+    assert code in (0, 2, 3, 4), (argv, lines, err)
+    if code == 0:
+        payload = _strict_json(out)
+        assert math.isfinite(payload["energy"])
+        assert err == ""
+    else:
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith("\n"), (argv, lines, err)

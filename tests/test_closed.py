@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vdwsurf.errors import ContactError, ExpansionWindowError, RegionError
+from vdwsurf._errata import u_bosshat, xi_factors
 from vdwsurf.closed import (
     BOSSHAT_EXPANSION_C3,
     SPHERE_EXPANSION_C3,
     bosshat_axis_bracket,
     fit_expansion_coefficients,
     sphere_bracket,
-    u_bosshat,
     u_bosshat_corrected,
     u_bosshat_expansion3,
     u_grounded_sphere,
@@ -19,7 +19,6 @@ from vdwsurf.closed import (
     u_isolated_sphere,
     u_plane,
     u_sphere_expansion3,
-    xi_factors,
     xi_factors_corrected,
 )
 from vdwsurf.geometry import DipoleVariances, GeometryKind, VarianceFrame

@@ -127,3 +127,62 @@ def test_local_axes_of_an_array_equal_per_position_axes(region_grid, frame):
     assert axes.shape == (len(points), 3, 3)
     for i, p in enumerate(points.tolist()):
         assert axes[i].tobytes() == np.array(local_axes(frame, Position(*p))).tobytes()
+
+
+def _physical_region_reference(g, p):
+    """physical_region as it was written before it became
+    surface_distance > 0: its own test per geometry."""
+    if isinstance(p, Position):
+        z, norm = p.z, p.norm
+    else:
+        x, y, z = p[..., 0], p[..., 1], p[..., 2]
+        norm = np.sqrt(x * x + y * y + z * z)
+    if g.kind is GeometryKind.PLANE:
+        return z > 0.0
+    if g.kind in (GeometryKind.GROUNDED_SPHERE, GeometryKind.ISOLATED_SPHERE):
+        return norm > g.radius
+    return (z > 0.0) & (norm > g.radius)
+
+
+def _region_probe_points(g, grid):
+    """The grid, points exactly on the surface, and every triple of
+    special and ordinary coordinates: +-0.0, +-inf, NaN, a huge value
+    whose square overflows, and finite values around the radius."""
+    r = g.radius or 1.0
+    on_surface = [(r, 0.0, 0.0), (0.0, -r, 0.0), (0.0, 0.0, r), (0.0, 0.0, -r),
+                  (3.0 * r, 4.0 * r, 0.0), (-2.0 * r, 0.0, 0.0)]
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e200, -1.0, 0.5 * r, r, 2.5 * r]
+    special = [(x, y, z) for x in values for y in values for z in values]
+    return np.array(grid.tolist() + on_surface + special)
+
+
+def test_physical_region_equals_its_reference_and_positive_surface_distance(region_grid):
+    g, _, grid = region_grid
+    points = _region_probe_points(g, grid)
+    with np.errstate(over="ignore"):
+        expected = _physical_region_reference(g, points)
+        got = physical_region(g, points)
+        distance = surface_distance(g, points)
+        assert got.tolist() == expected.tolist()
+        assert got.tolist() == (distance > 0.0).tolist()
+        for p, d, inside in zip(points.tolist(), distance.tolist(), expected.tolist()):
+            position = Position(*p)
+            assert physical_region(g, position) is inside
+            assert _physical_region_reference(g, position) == inside
+            d_position = surface_distance(g, position)
+            assert type(d_position) is float
+            assert d_position == d or (math.isnan(d_position) and math.isnan(d))
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_a_nan_coordinate_gives_a_nan_surface_distance(region_grid, axis):
+    g, _, grid = region_grid
+    points = grid.copy()
+    points[:, axis] = math.nan
+    # the plane's distance is its z coordinate alone
+    depends = g.kind is not GeometryKind.PLANE or axis == 2
+    for p, d in zip(points.tolist(), surface_distance(g, points).tolist()):
+        assert math.isnan(d) == depends
+        assert math.isnan(surface_distance(g, Position(*p))) == depends
+        if depends:
+            assert not physical_region(g, Position(*p))

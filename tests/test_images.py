@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from vdwsurf.errors import DegenerateSourceError
 from vdwsurf.geometry import GeometryConfig, GeometryKind, Position, physical_region
+from vdwsurf._errata import bosshat_radicals, g_h_bosshat_cylindrical
 from vdwsurf.images import (
     bc_residual,
-    bosshat_radicals,
     build_green,
     g_h,
-    g_h_bosshat_cylindrical,
     surface_deviation,
     surface_sample,
 )
