@@ -8,15 +8,18 @@ to every energy: closed forms, numerical mixed derivatives of the
 homogeneous Green function, and a finite-dipole extrapolation oracle.
 
 The package namespace holds the documented API: the closed forms, the
-two numeric routes, the validation suites, the error classes and the
-types they take and return. Everything else is imported from its
-submodule: the image systems and G_H from vdwsurf.images, the
-finite-difference controls from vdwsurf.evaluator, the geometry helpers
-from vdwsurf.geometry, the pair potentials from vdwsurf.pairs, and the
-transcribed boss-hat forms, kept for provenance, from vdwsurf._errata.
+three routes that take a Position or an (N, 3) array of points
+(energy_closed, energy_numeric, extrapolated_energy), the validation
+suites, the error classes and the types they take and return.
+Everything else is imported from its submodule: the image systems and
+G_H from vdwsurf.images, the finite-difference controls from
+vdwsurf.evaluator, the geometry helpers from vdwsurf.geometry, the pair
+potentials from vdwsurf.pairs, and the transcribed boss-hat forms, kept
+for provenance, from vdwsurf._errata.
 """
 
 from .closed import (
+    energy_closed,
     u_bosshat_corrected,
     u_bosshat_expansion3,
     u_grounded_sphere,
@@ -71,6 +74,7 @@ __all__ = [
     "UnitSystem",
     "VarianceFrame",
     "VdwError",
+    "energy_closed",
     "energy_numeric",
     "extrapolated_energy",
     "run_all",

@@ -15,12 +15,14 @@ its first failing point. An optional key=value config file can set any
 flag of energy and scan but --config, its keys being the long flags
 without "--"; explicit flags win.
 
-`scan --method numeric|oracle` evaluates its grid in vectorised calls
-of up to 256 points; the other methods go point by point. Numpy
-floating-point errors (division by zero, overflow, invalid operations)
-raise inside every subcommand and exit 2. The environment
-variable VDW_THREADS, which once set a thread count, is accepted and
-ignored.
+`scan --method closed|numeric|oracle` evaluates its grid in vectorised
+calls of up to 256 points, one route call a chunk, and builds the
+chunk's CSV rows in one pass; `expansion3` goes point by point. A chunk
+whose call fails is evaluated again point by point to name the first
+failing grid value. Numpy floating-point errors (division by zero,
+overflow, invalid operations) raise inside every subcommand and exit
+2. The environment variable VDW_THREADS, which once set a thread
+count, is accepted and ignored.
 
 Variances are interpreted in cartesian axes (x, y, z) for the plane and
 the spheres, and in the local cylindrical frame (radial, azimuthal,
@@ -39,7 +41,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .closed import (
+from .closed import (  # u_plane, u_*_sphere, u_bosshat_corrected: unused, perfbench wraps them
+    energy_closed,
+    isotropic_total,
     u_bosshat_corrected,
     u_bosshat_expansion3,
     u_grounded_sphere,
@@ -65,8 +69,6 @@ from .validate import run_all, run_suite
 _GEOMETRY_CHOICES = ("plane", "gsphere", "isphere", "bosshat")
 _METHOD_CHOICES = ("closed", "numeric", "oracle")
 _SCAN_METHOD_CHOICES = _METHOD_CHOICES + ("expansion3",)
-
-_ISOTROPY_RTOL = 1e-9
 
 
 def _parse_config(path: str) -> dict[str, str]:
@@ -183,63 +185,26 @@ def _geometry_from_args(kind: str, radius: float) -> GeometryConfig:
     return builders[kind](radius)
 
 
-def _require_isotropic(v: DipoleVariances) -> float:
-    spread = max(v.m1, v.m2, v.m3) - min(v.m1, v.m2, v.m3)
-    if spread > _ISOTROPY_RTOL * max(v.total, 1e-300):
-        raise ValueError(
-            "closed-form sphere energies require isotropic variances; "
-            "use --isotropic or --method numeric/oracle"
-        )
-    return v.total
-
-
-def _closed_energy(
-    g: GeometryConfig,
-    variances: DipoleVariances,
-    rho0: float,
-    z0: float,
-    units: UnitSystem,
-) -> EnergyResult:
-    if g.kind is GeometryKind.PLANE:
-        return u_plane(variances, z0, units)
-    if g.kind is GeometryKind.BOSS_HAT:
-        return u_bosshat_corrected(variances, rho0, z0, g.radius, units)
-    total = _require_isotropic(variances)
-    center_distance = math.hypot(rho0, z0)
-    if g.kind is GeometryKind.GROUNDED_SPHERE:
-        return u_grounded_sphere(total, center_distance, g.radius, units)
-    return u_isolated_sphere(total, center_distance, g.radius, units)
-
-
 def _expansion3_energy(
-    g: GeometryConfig, variances: DipoleVariances, rho0: float, z0: float, units: UnitSystem
+    g: GeometryConfig, variances: DipoleVariances, r0: Position, units: UnitSystem
 ) -> EnergyResult:
-    if rho0 != 0.0:
+    if r0.x != 0.0:
         raise ValueError("--method expansion3 is on-axis only (rho0 = 0)")
-    total = _require_isotropic(variances)
+    total = isotropic_total(variances)
     if g.kind is GeometryKind.GROUNDED_SPHERE:
-        return u_sphere_expansion3(total, z0, g.radius, units)
+        return u_sphere_expansion3(total, r0.z, g.radius, units)
     if g.kind is GeometryKind.BOSS_HAT:
-        return u_bosshat_expansion3(total, z0, g.radius, units)
+        return u_bosshat_expansion3(total, r0.z, g.radius, units)
     raise ValueError("--method expansion3 needs geometry gsphere or bosshat")
 
 
-def _point_energy(
-    method: str,
-    g: GeometryConfig,
-    variances: DipoleVariances,
-    rho0: float,
-    z0: float,
-    units: UnitSystem,
-) -> EnergyResult:
-    position = Position(rho0, 0.0, z0)
-    if method == "closed":
-        return _closed_energy(g, variances, rho0, z0, units)
-    if method == "numeric":
-        return energy_numeric(g, variances, position, units=units)
-    if method == "oracle":
-        return extrapolated_energy(g, variances, position, units=units)
-    return _expansion3_energy(g, variances, rho0, z0, units)
+def _route(method: str):
+    """The energy route of a method, which takes a Position or an (N, 3)
+    array of points; None for expansion3, a scan method that goes point
+    by point. Looked up at each call, so a wrapper bound to the name on
+    this module, such as a tracer's, sees the call."""
+    routes = {"closed": energy_closed, "numeric": energy_numeric, "oracle": extrapolated_energy}
+    return routes.get(method)
 
 
 def _setup(args: argparse.Namespace) -> tuple[UnitSystem, GeometryConfig, DipoleVariances]:
@@ -263,7 +228,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
     rho0 = 0.0 if args.rho0 is None else args.rho0
     method = args.method or "closed"
     units, g, variances = _setup(args)
-    result = _point_energy(method, g, variances, rho0, z0, units)
+    result = _route(method)(g, variances, Position(rho0, 0.0, z0), units=units)
     err = result.err_estimate if math.isfinite(result.err_estimate) else None
     payload = {
         "energy": result.value,
@@ -289,16 +254,16 @@ def cmd_energy(args: argparse.Namespace) -> int:
 _SCAN_CHUNK = 256
 
 
-def _normalization(kind: str, g: GeometryConfig, positions: np.ndarray) -> list[float]:
+def _normalization(kind: str, g: GeometryConfig, positions: np.ndarray) -> np.ndarray:
     """Scale factor of each scan point."""
     if kind == "none":
-        return [1.0] * len(positions)
+        return np.ones(len(positions))
     if kind == "R3":
         if g.kind is GeometryKind.PLANE:
             raise ValueError("--normalize R3 is undefined for the plane")
-        return [g.radius**3] * len(positions)
+        return np.full(len(positions), g.radius**3)
     # Python's ** (the C library pow), which numpy's power may not match
-    return [d**3 for d in surface_distance(g, positions).tolist()]
+    return np.array([d**3 for d in surface_distance(g, positions).tolist()])
 
 
 def _chunk_energies(
@@ -309,28 +274,28 @@ def _chunk_energies(
     positions: np.ndarray,
     units: UnitSystem,
     var: str,
-) -> tuple[list[float], list[float], str]:
+) -> tuple[np.ndarray, np.ndarray, str]:
     """Values, errors and method name of a chunk of scan points: one
-    vectorised call for numeric and oracle, else point by point. A
-    failure names the grid value of the first failing point."""
-    route = {"numeric": energy_numeric, "oracle": extrapolated_energy}.get(method)
+    vectorised route call, or point by point for expansion3. A failure
+    names the grid value of the first failing point."""
+    route = _route(method)
     if route is not None:
         try:
             batch = route(g, variances, positions, units=units)
         except (VdwError, ArithmeticError):
             pass   # the point-by-point loop below finds and names the failing point
         else:
-            return batch.value.tolist(), batch.err_estimate.tolist(), batch.method.value
+            return batch.value, batch.err_estimate, batch.method.value
     values, errs = [], []
-    for x, (rho0, _, z0) in zip(xs, positions.tolist()):
+    for x, row in zip(xs, positions.tolist()):
         try:
-            result = _point_energy(method, g, variances, rho0, z0, units)
+            result = (route or _expansion3_energy)(g, variances, Position(*row), units=units)
         except (VdwError, ArithmeticError) as exc:
             exc.args = (f"at {var}={x!r}: {exc}",)   # name the failing point
             raise
         values.append(result.value)
         errs.append(result.err_estimate)
-    return values, errs, result.method.value
+    return np.array(values), np.array(errs), result.method.value
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -361,30 +326,36 @@ def cmd_scan(args: argparse.Namespace) -> int:
         grid = np.geomspace(lo, hi, points)
     else:
         grid = np.linspace(lo, hi, points)
-    xs = sorted(float(x) for x in grid)
-    rows = []
+    # stable, so that -0.0 and 0.0 keep their grid order, as sorted() keeps it
+    xs = np.sort(grid, kind="stable").tolist()
+    var_column, fixed_column, fixed = (2, 0, rho0_fixed) if var == "z0" else (0, 2, z0_fixed)
+    text = ["x,value,err,method\n"]
     for start in range(0, len(xs), _SCAN_CHUNK):
         chunk = xs[start:start + _SCAN_CHUNK]
-        positions = np.array(
-            [(rho0_fixed, 0.0, x) if var == "z0" else (x, 0.0, z0_fixed) for x in chunk]
-        )
+        positions = np.zeros((len(chunk), 3))
+        positions[:, var_column] = chunk
+        positions[:, fixed_column] = fixed
         scales = _normalization(normalize, g, positions)
         values, errs, method_name = _chunk_energies(
             method, g, variances, chunk, positions, units, var
         )
-        for x, scale, value, err in zip(chunk, scales, values, errs):
-            value, err = value * scale, err * scale
-            if not (math.isfinite(value) and math.isfinite(err)):
-                raise FloatingPointError(
-                    f"at {var}={x!r}: non-finite energy {value!r} (err {err!r})"
-                )
-            rows.append((x, value, err))
+        # inf and NaN, as Python floats give them, rather than an
+        # unnamed FloatingPointError: the check below names the point
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, errs = values * scales, errs * scales
+        bad = ~(np.isfinite(values) & np.isfinite(errs))
+        if bad.any():
+            i = int(bad.argmax())
+            raise FloatingPointError(
+                f"at {var}={chunk[i]!r}: non-finite energy {float(values[i])!r} "
+                f"(err {float(errs[i])!r})"
+            )
+        row = "%.17g,%.17g,%.17g," + method_name + "\n"
+        text.extend(row % r for r in zip(chunk, values.tolist(), errs.tolist()))
 
     try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("x,value,err,method\n")
-            for x, value, err in rows:
-                fh.write(f"{x:.17g},{value:.17g},{err:.17g},{method_name}\n")
+            fh.write("".join(text))
     except OSError as exc:
         sys.stderr.write(f"vdwsurf: cannot write {out!r}: {exc}\n")
         return 4

@@ -1,5 +1,11 @@
 """Closed-form dispersion energies for the four conductor geometries.
 
+energy_closed is the closed-form route: like energy_numeric and
+extrapolated_energy it takes a Position or an (N, 3) array of points.
+It picks the form of the geometry and checks that the spheres get
+isotropic variances.  The u_* forms, the scalar API, are also its
+kernels: they take arrays as well and give them the scalar bits.
+
 The hemisphere-on-plane ("boss hat") angular factors,
 xi_factors_corrected/u_bosshat_corrected, are derived from the image
 construction.  The transcribed reference expressions, wrong off the
@@ -16,16 +22,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import ContactError, ExpansionWindowError, RegionError
 from .geometry import (
+    AtomSpec,
     DipoleVariances,
     EnergyResult,
+    GeometryConfig,
     GeometryKind,
     Method,
+    Position,
     VarianceFrame,
+    as_points,
+    variances_of,
 )
 from .units import UnitSystem
 
@@ -35,6 +47,30 @@ _REDUCED = UnitSystem.reduced()
 # series fit in fit_expansion_coefficients and certified in the tests.
 SPHERE_EXPANSION_C3 = -0.875    # -7/8
 BOSSHAT_EXPANSION_C3 = -0.375   # -3/8
+
+# The forms below take floats or 1-D arrays of equal length.  Arrays go
+# through operators and these three helpers only, which give each
+# element the bits of the float computation.
+
+
+def _power(x, n: int):
+    """x**n by Python's ** (the C pow), element by element on an array:
+    numpy's power differs in the last bit for some inputs (5% of cubes)."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(pow, x.tolist(), repeat(n)), float, len(x))
+    return x**n
+
+
+def _hypot(x, *coords):
+    """math.hypot, point by point on arrays: np.hypot may differ."""
+    if isinstance(x, np.ndarray):
+        columns = (c.tolist() for c in (x, *coords))
+        return np.fromiter(map(math.hypot, *columns), float, len(x))
+    return math.hypot(x, *coords)
+
+
+def _sqrt(x):
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)   # both correctly rounded
 
 
 def u_plane(
@@ -49,11 +85,11 @@ def u_plane(
     >>> u_plane(DipoleVariances(0.0, 0.0, 1.0), 1.0).value
     -0.125
     """
-    if z0 == 0.0:
+    if np.any(z0 == 0.0):
         raise ContactError("zero distance to the plane")
     v = variances
     value = -(v.m1 + v.m2 + 2.0 * v.m3) / (
-        16.0 * units.four_pi_epsilon0 * abs(z0) ** 3
+        16.0 * units.four_pi_epsilon0 * _power(abs(z0), 3)
     )
     return EnergyResult(value, 0.0, Method.CLOSED_FORM, units.mode)
 
@@ -61,7 +97,7 @@ def u_plane(
 def _check_sphere(z0: float, radius: float) -> None:
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    if z0 <= radius:
+    if np.any(z0 <= radius):
         raise ContactError("atom must sit outside the sphere (z0 > R)")
 
 
@@ -74,9 +110,10 @@ def u_grounded_sphere(
                                + R/z0^4 (1-R^2/z0^2)^-2]
     """
     _check_sphere(z0, radius)
-    gap = 1.0 - (radius / z0) ** 2
+    gap = 1.0 - _power(radius / z0, 2)
     bracket = (
-        4.0 * radius**3 / z0**6 / gap**3 + radius / z0**4 / gap**2
+        4.0 * radius**3 / _power(z0, 6) / _power(gap, 3)
+        + radius / _power(z0, 4) / _power(gap, 2)
     )
     value = -variance_total * bracket / (6.0 * units.four_pi_epsilon0)
     return EnergyResult(value, 0.0, Method.CLOSED_FORM, units.mode)
@@ -115,32 +152,30 @@ def u_isolated_sphere(
     braces; always weaker than the grounded attraction, still negative.
     """
     _check_sphere(z0, radius)
-    gap = 1.0 - (radius / z0) ** 2
-    bracket = (
-        4.0 * radius**3 / z0**6 / gap**3
-        + radius / z0**4 / gap**2
-        - radius / z0**4
-    )
+    gap = 1.0 - _power(radius / z0, 2)
+    r_z4 = radius / _power(z0, 4)
+    bracket = 4.0 * radius**3 / _power(z0, 6) / _power(gap, 3) + r_z4 / _power(gap, 2) - r_z4
     value = -variance_total * bracket / (6.0 * units.four_pi_epsilon0)
     return EnergyResult(value, 0.0, Method.CLOSED_FORM, units.mode)
 
 
 @dataclass(frozen=True)
 class BossHatXi:
-    """Evaluated boss-hat angular factors at one position.
+    """Evaluated boss-hat angular factors at one position, or arrays of
+    them at an array of positions.
 
     xi_rho, xi_phi, xi_z are dimensionless.
     """
 
-    xi_rho: float
-    xi_phi: float
-    xi_z: float
+    xi_rho: float | np.ndarray
+    xi_phi: float | np.ndarray
+    xi_z: float | np.ndarray
 
 
 def _check_bosshat_region(radius: float, rho0: float, z0: float) -> None:
     if radius < 0.0:
         raise ValueError("radius must be >= 0")
-    if not (z0 > 0.0 and rho0 * rho0 + z0 * z0 > radius * radius):
+    if not np.all((z0 > 0.0) & (rho0 * rho0 + z0 * z0 > radius * radius)):
         raise RegionError(
             "boss-hat atom position requires z0 > 0 and rho0^2 + z0^2 > R^2"
         )
@@ -160,19 +195,19 @@ def xi_factors_corrected(radius: float, rho0: float, z0: float) -> BossHatXi:
     r2 = radius * radius
     p2 = rho0 * rho0
     z2 = z0 * z0
-    a = (p2 + z2 + r2) ** 2 - 4.0 * r2 * p2
-    a32 = a * math.sqrt(a)
-    a52 = a * a * math.sqrt(a)
-    d = p2 + z2 - r2
-    d3 = d**3
-    w = 8.0 * radius * z0**3
+    a = _power(p2 + z2 + r2, 2) - 4.0 * r2 * p2
+    a32 = a * _sqrt(a)
+    a52 = a * a * _sqrt(a)
+    d3 = _power(p2 + z2 - r2, 3)
+    w = 8.0 * radius * _power(z0, 3)
+    rz4 = _power(r2 + z2, 2)
 
-    num_rho = ((r2 + z2) ** 2 - (r2 + p2 + 8.0 * z2) * p2) * r2 + (z2 + p2) ** 2 * p2
+    num_rho = (rz4 - (r2 + p2 + 8.0 * z2) * p2) * r2 + _power(z2 + p2, 2) * p2
     xi_rho = 1.0 - w * (num_rho / a52 - (p2 + r2) / d3)
 
     xi_phi = 1.0 + w * r2 * (1.0 / d3 - 1.0 / a32)
 
-    w_z = (r2 - z2) * ((r2 + z2) ** 2 + p2 * p2) - 2.0 * p2 * (
+    w_z = (r2 - z2) * (rz4 + p2 * p2) - 2.0 * p2 * (
         r2 * r2 + 4.0 * r2 * z2 + z2 * z2
     )
     xi_z = 2.0 + w * ((r2 + z2) / d3 + w_z / a52)
@@ -184,7 +219,7 @@ def _u_from_xi(
 ) -> float:
     v = variances
     return -(v.m1 * xi.xi_rho + v.m2 * xi.xi_phi + v.m3 * xi.xi_z) / (
-        16.0 * units.four_pi_epsilon0 * z0**3
+        16.0 * units.four_pi_epsilon0 * _power(z0, 3)
     )
 
 
@@ -199,6 +234,55 @@ def u_bosshat_corrected(
     xi = xi_factors_corrected(radius, rho0, z0)
     value = _u_from_xi(variances, z0, xi, units)
     return EnergyResult(value, 0.0, Method.CLOSED_FORM, units.mode)
+
+
+def isotropic_total(v: DipoleVariances) -> float:
+    """<d^2> of variances the sphere forms accept: components equal to
+    a relative 1e-9 of the total."""
+    if max(v.m1, v.m2, v.m3) - min(v.m1, v.m2, v.m3) > 1e-9 * max(v.total, 1e-300):
+        raise ValueError(
+            "closed-form sphere energies require isotropic variances; "
+            "use the numeric or oracle route"
+        )
+    return v.total
+
+
+def energy_closed(
+    g: GeometryConfig,
+    atom: AtomSpec | DipoleVariances,
+    r0: Position | np.ndarray,
+    units: UnitSystem = _REDUCED,
+) -> EnergyResult:
+    """Dispersion energy from the closed form of the geometry.
+
+    r0 is a Position, giving a float value, or an (N, 3) array of
+    positions, giving (N,) values equal to the per-point ones bit for
+    bit; err_estimate is 0.  The spheres take isotropic variances only,
+    at the centre distance of r0.  Where a power of a distance
+    overflows, the OverflowError names the first such point.
+    """
+    v = variances_of(atom)
+    single = isinstance(r0, Position)
+    x, y, z = (r0.x, r0.y, r0.z) if single else as_points(r0).reshape(-1, 3).T
+    try:
+        if g.kind is GeometryKind.PLANE:
+            result = u_plane(v, z, units)
+        elif g.kind is GeometryKind.BOSS_HAT:
+            result = u_bosshat_corrected(v, _hypot(x, y), z, g.radius, units)
+        else:
+            form = u_grounded_sphere if g.kind is GeometryKind.GROUNDED_SPHERE else u_isolated_sphere
+            result = form(isotropic_total(v), _hypot(x, y, z), g.radius, units)
+    except OverflowError:
+        if single:
+            raise OverflowError(
+                f"closed-form energy out of float range at (x, y, z) = ({x!r}, {y!r}, {z!r}):"
+                " a power of the distance overflows"
+            ) from None
+        for point in zip(x.tolist(), y.tolist(), z.tolist()):
+            energy_closed(g, v, Position(*point), units)   # raises at the first such point
+        raise
+    zeros = 0.0 if single else np.zeros_like(result.value)
+    return EnergyResult(result.value, zeros, result.method, result.units)
 
 
 def _expansion3(

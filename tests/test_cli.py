@@ -4,6 +4,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -800,4 +801,226 @@ def test_energy_fuzz_exits_cleanly(request, tmp_path_factory):
         assert err == ""
     else:
         assert out == ""
+        assert err.count("\n") == 1 and err.endswith("\n"), (argv, lines, err)
+
+
+# --- closed-form scans: out of float range, byte-equal reference CSV, fuzz
+
+
+@pytest.mark.parametrize(
+    "geometry,far",
+    [(["plane"], "1e+120"), (["gsphere", "--radius", "1"], "1e+60"),
+     (["bosshat", "--radius", "1"], "1e+120")],
+    ids=["plane", "gsphere", "bosshat"],
+)
+def test_closed_energy_out_of_float_range_exits_2_naming_the_input(
+    geometry, far, capsys, tmp_path
+):
+    code, out, err = run_cli(capsys, "energy", "--geometry", *geometry, "--isotropic", "1",
+                             "--z0", far)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert f"out of float range at (x, y, z) = (0.0, 0.0, {far})" in err
+    csv = tmp_path / "scan.csv"
+    code, out, err = run_cli(capsys, "scan", "--geometry", *geometry, "--isotropic", "1",
+                             "--from", "2", "--to", far, "--points", "600", "--out", str(csv))
+    first = np.linspace(2.0, float(far), 600).tolist()[1]   # z0 = 2 is in range, the rest not
+    assert code == 2
+    assert err.count("\n") == 1
+    assert err.startswith(f"vdwsurf: at z0={first!r}: ") and "out of float range" in err
+    assert not csv.exists()
+
+
+def _point_by_point_closed_csv(geometry, radius, variances, var, fixed, grid, normalize):
+    """The scan CSV as the point-by-point loop wrote it before the closed
+    route was batched: the scalar forms at each sorted grid value, the
+    scale of each point applied with Python floats, one f-string a row."""
+    from vdwsurf.closed import (
+        u_bosshat_corrected, u_grounded_sphere, u_isolated_sphere, u_plane,
+    )
+    from vdwsurf.geometry import GeometryConfig, surface_distance
+
+    g = {"plane": GeometryConfig.plane, "gsphere": GeometryConfig.grounded_sphere,
+         "isphere": GeometryConfig.isolated_sphere, "bosshat": GeometryConfig.boss_hat}
+    g = g[geometry]() if geometry == "plane" else g[geometry](radius)
+    xs = sorted(float(x) for x in grid)
+    rows = ["x,value,err,method\n"]
+    for x in xs:
+        rho0, z0 = (fixed, x) if var == "z0" else (x, fixed)
+        if geometry == "plane":
+            result = u_plane(variances, z0)
+        elif geometry == "bosshat":
+            result = u_bosshat_corrected(variances, rho0, z0, radius)
+        else:
+            form = u_grounded_sphere if geometry == "gsphere" else u_isolated_sphere
+            result = form(variances.total, math.hypot(rho0, z0), radius)
+        if normalize == "none":
+            scale = 1.0
+        elif normalize == "R3":
+            scale = radius**3
+        else:
+            scale = float(surface_distance(g, np.array([(rho0, 0.0, z0)]))[0]) ** 3
+        value, err = result.value * scale, result.err_estimate * scale
+        rows.append(f"{x:.17g},{value:.17g},{err:.17g},{result.method.value}\n")
+    return "".join(rows).encode()
+
+
+# (flags, swept variable, fixed coordinate, from, to) of each sweep; the
+# near-contact ends sit 1e-6 R and, on a log grid, 1e-9 R from the surface
+_CLOSED_SWEEPS = {
+    "plane": [("z0", 0.0, -2.0, 3.0, False), ("rho0", 0.7, -3.0, 3.0, False),
+              ("z0", -0.4, 1e-9, 1e3, True)],
+    "gsphere": [("z0", 0.0, 1.3 * (1 + 1e-6), 6.0, False), ("rho0", 1.5, -4.0, 4.0, False),
+                ("z0", 0.0, 1.3 * (1 + 1e-9), 1e3, True)],
+    "isphere": [("z0", -0.2, 0.8, 6.0, False), ("rho0", -0.9, -4.0, 4.0, False),
+                ("z0", 0.0, 0.7 * (1 + 1e-9), 1e3, True)],
+    "bosshat": [("z0", 0.4, 0.95, 5.0, False), ("rho0", 0.2, 0.99, 4.0, False),
+                ("rho0", 1e-9, 1.0 + 1e-6, 1e2, True)],
+}
+_CLOSED_RADIUS = {"plane": None, "gsphere": 1.3, "isphere": 0.7, "bosshat": 1.0}
+
+
+def _closed_scan_cases():
+    """Each sweep once, the three sweeps of a geometry under different
+    normalisations (the plane has no R3)."""
+    cases = []
+    for geometry, sweeps in _CLOSED_SWEEPS.items():
+        normalizations = ("a3", "none", "a3") if geometry == "plane" else ("none", "a3", "R3")
+        for k, (sweep, normalize) in enumerate(zip(sweeps, normalizations)):
+            cases.append(pytest.param(geometry, sweep, normalize,
+                                      id=f"{geometry}-{sweep[0]}{k}-{normalize}"))
+    return cases
+
+
+@pytest.mark.parametrize("geometry,sweep,normalize", _closed_scan_cases())
+def test_closed_scan_equals_the_point_by_point_csv(geometry, sweep, normalize, tmp_path):
+    from vdwsurf.geometry import DipoleVariances, VarianceFrame
+
+    var, fixed, lo, hi, log = sweep
+    radius = _CLOSED_RADIUS[geometry]
+    argv = ["scan", "--geometry", geometry, "--var", var, "--from", repr(lo), "--to", repr(hi),
+            "--points", "600", "--normalize", normalize, "--out", str(tmp_path / "scan.csv")]
+    argv += ["--z0" if var == "rho0" else "--rho0", repr(fixed)]
+    if radius is not None:
+        argv += ["--radius", repr(radius)]
+    if log:
+        argv.append("--log")
+    if geometry in ("gsphere", "isphere"):
+        argv += ["--isotropic", "1.7"]
+        variances = DipoleVariances.isotropic(1.7)
+    else:
+        argv += ["--variances", "0.5,1,2"]
+        cylindrical = geometry == "bosshat"
+        frame = VarianceFrame.CYLINDRICAL_LOCAL if cylindrical else VarianceFrame.CARTESIAN
+        variances = DipoleVariances(0.5, 1.0, 2.0, frame)
+    code, _, err = _run(argv)
+    assert code == 0, err
+    grid = np.geomspace(lo, hi, 600) if log else np.linspace(lo, hi, 600)
+    want = _point_by_point_closed_csv(geometry, radius, variances, var, fixed, grid, normalize)
+    assert (tmp_path / "scan.csv").read_bytes() == want
+
+
+def test_non_finite_scaled_row_exits_2_naming_its_point(capsys, tmp_path):
+    # near the plane far from the boss the energy, about 1/z0^3, is
+    # finite; scaled by R^3 = 1e15 it overflows below z0 = 1e-99
+    out = tmp_path / "scan.csv"
+    code, _, err = run_cli(
+        capsys, "scan", "--geometry", "bosshat", "--radius", "1e5", "--isotropic", "1",
+        "--rho0", "2e5", "--log", "--from", "1e-101", "--to", "1e-97", "--points", "600",
+        "--normalize", "R3", "--out", str(out),
+    )
+    first = np.geomspace(1e-101, 1e-97, 600).tolist()[0]
+    assert code == 2
+    assert err.count("\n") == 1
+    assert err.startswith(f"vdwsurf: at z0={first!r}: non-finite energy -inf (err 0.0)")
+    assert not out.exists()
+
+
+_SCAN_OPTIONS = [(key, action) for key, action in _config_options("scan") if key != "out"]
+_SCAN_METHODS = ["closed", "numeric", "oracle", "expansion3"]
+_POINTS = st.integers(1, 12).map(str)
+_BAD_POINTS = st.sampled_from(["0", "-1", "1.5", "x", ""])
+
+
+@st.composite
+def _scan_requests(draw):
+    """Options of a scan command besides --out, as in _energy_requests;
+    the method is drawn from all four. --geometry, --from, --to and
+    --points are always given, so that more requests get as far as an
+    energy, and the point count stays small (at most 12, or one of a
+    few invalid counts)."""
+    request = []
+    for key, action in _SCAN_OPTIONS:
+        always = key in ("geometry", "from", "to", "points")
+        where = draw(st.sampled_from(([] if always else ["absent"]) + ["flag", "config"] * 3))
+        if where == "absent":
+            continue
+        if key == "points":
+            text = draw(_POINTS)
+        elif action.nargs == 0:
+            text = draw(st.sampled_from(["yes", "no"]))
+        else:
+            text = draw(_value_strategy(action, _ORDINARY))
+        request.append([where, key, action, text])
+    if draw(st.booleans()):
+        # an on-axis near-contact sweep, inside the window of every method
+        radius = draw(st.floats(0.1, 10.0))
+        s = sorted(draw(st.lists(st.floats(1e-6, 0.45), min_size=2, max_size=2)))
+        near = {"geometry": draw(st.sampled_from(["gsphere", "bosshat"])), "radius": radius,
+                "from": radius * (1.0 + s[0]), "to": radius * (1.0 + s[1]), "rho0": 0.0,
+                "var": "z0", "isotropic": draw(st.floats(0.1, 10.0)),
+                "method": draw(st.sampled_from(_SCAN_METHODS))}
+        request = [option for option in request
+                   if option[1] not in near and option[1] != "variances"]
+        for key, value in near.items():
+            action = dict(_SCAN_OPTIONS)[key]
+            request.append([draw(st.sampled_from(["flag", "config"])), key, action, str(value)])
+    keys = [key for _, key, _, _ in request]
+    if {"variances", "isotropic"} <= set(keys) and draw(st.integers(0, 3)) > 0:
+        del request[keys.index(draw(st.sampled_from(["variances", "isotropic"])))]
+    twist = draw(st.sampled_from(["none", "none", "edge", "edge", "junk"]))
+    if request and twist != "none":
+        option = request[draw(st.integers(0, len(request) - 1))]
+        if twist == "junk":
+            option[3] = draw(_JUNK)
+        elif option[1] == "points":
+            option[3] = draw(_BAD_POINTS)
+        elif option[2].type is float or option[1] == "variances":
+            numbers = st.one_of(_ORDINARY, _EDGE) if option[1] == "variances" else _EDGE
+            option[3] = draw(_value_strategy(option[2], numbers))
+    return request
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(request=_scan_requests())
+def test_scan_fuzz_exits_cleanly(request, tmp_path_factory):
+    base = tmp_path_factory.getbasetemp()
+    csv = base / "fuzz-scan.csv"
+    if csv.exists():
+        csv.unlink()
+    argv = ["scan", "--out", str(csv)]
+    lines = []
+    for where, key, action, text in request:
+        if where == "flag":
+            argv += _flag_argv(action, text)
+        else:
+            lines.append(f"{key}={text}")
+    if lines:
+        cfg = base / "fuzz-scan.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        argv += ["--config", str(cfg)]
+    code, out, err = _run(argv)
+    assert code in (0, 2, 3, 4), (argv, lines, err)
+    assert out == ""
+    if code == 0:
+        points = next(int(text) for _, key, _, text in request if key == "points")
+        rows = csv.read_text().splitlines()
+        assert rows[0] == "x,value,err,method"
+        assert len(rows) == points + 1, (argv, lines)
+        for row in rows[1:]:
+            assert all(math.isfinite(float(field)) for field in row.split(",")[:3]), (argv, row)
+        assert err == ""
+    else:
+        assert not csv.exists(), (argv, lines, err)
         assert err.count("\n") == 1 and err.endswith("\n"), (argv, lines, err)

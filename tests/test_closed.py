@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from vdwsurf.closed import (
     BOSSHAT_EXPANSION_C3,
     SPHERE_EXPANSION_C3,
     bosshat_axis_bracket,
+    energy_closed,
     fit_expansion_coefficients,
     sphere_bracket,
     u_bosshat_corrected,
@@ -21,7 +24,14 @@ from vdwsurf.closed import (
     u_sphere_expansion3,
     xi_factors_corrected,
 )
-from vdwsurf.geometry import DipoleVariances, GeometryKind, VarianceFrame
+from vdwsurf.geometry import (
+    DipoleVariances,
+    GeometryConfig,
+    GeometryKind,
+    Method,
+    Position,
+    VarianceFrame,
+)
 from vdwsurf.units import UnitSystem, reduced_to_si_factor
 
 ISO = DipoleVariances.isotropic(1.0)
@@ -171,3 +181,137 @@ def test_si_reduced_consistency():
     assert got_sphere == pytest.approx(
         u_grounded_sphere(1.0, 2.0, 1.0).value * factor, rel=1e-12
     )
+
+
+# --- energy_closed: the batch equals the scalar forms bit for bit
+
+
+def _scalar_closed(g, v, point):
+    """The documented scalar form of the geometry at one (x, y, z)."""
+    x, y, z = point
+    if g.kind is GeometryKind.PLANE:
+        return u_plane(v, z)
+    if g.kind is GeometryKind.BOSS_HAT:
+        return u_bosshat_corrected(v, math.hypot(x, y), z, g.radius)
+    form = u_grounded_sphere if g.kind is GeometryKind.GROUNDED_SPHERE else u_isolated_sphere
+    return form(v.total, math.hypot(x, y, z), g.radius)
+
+
+def _closed_variances(g, variances):
+    """The grid's variances, made isotropic for the spheres."""
+    if g.kind in (GeometryKind.GROUNDED_SPHERE, GeometryKind.ISOLATED_SPHERE):
+        return DipoleVariances.isotropic(variances.total)
+    return variances
+
+
+def _random_points(g, n=2000, seed=11):
+    """Points in the physical region, in every direction (negative
+    rho0 included), at gaps from 1e-9 to 10 (in units of R, of 1 for
+    the plane) with 50 at exactly 1e-9, and for the boss hat half of
+    them above the plane near and at the rim."""
+    rng = np.random.default_rng(seed)
+    gaps = 10.0 ** rng.uniform(-9.0, 1.0, n)
+    gaps[:50] = 1e-9
+    if g.kind is GeometryKind.PLANE:
+        side = rng.choice([-1.0, 1.0], n)
+        return np.column_stack([rng.uniform(-5.0, 5.0, (n, 2)), side * gaps])
+    unit = rng.normal(size=(n, 3))
+    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    if g.kind is not GeometryKind.BOSS_HAT:
+        return unit * (g.radius * (1.0 + gaps))[:, None]
+    unit[:, 2] = np.abs(unit[:, 2])   # above the dome
+    dome = unit * (g.radius * (1.0 + gaps))[:, None]
+    rho = g.radius * (1.0 + 10.0 ** rng.uniform(-9.0, 1.0, n))
+    phi = rng.uniform(-math.pi, math.pi, n)
+    plane = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), gaps[::-1]])
+    return np.where((np.arange(n) % 2 == 0)[:, None], dome, plane)
+
+
+def test_energy_closed_batch_is_bit_equal_to_the_scalar_forms(region_grid):
+    g, variances, grid = region_grid
+    v = _closed_variances(g, variances)
+    points = np.concatenate([grid, _random_points(g)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        batch = energy_closed(g, v, points)
+    assert batch.value.shape == batch.err_estimate.shape == (len(points),)
+    assert batch.method is Method.CLOSED_FORM
+    assert not batch.err_estimate.any()
+    failing = 0
+    for point, value in zip(points.tolist(), batch.value.tolist()):
+        try:
+            want = _scalar_closed(g, v, point).value
+        except ArithmeticError as exc:
+            # the boss-hat rim at gaps near 1e-8, where the radicand a
+            # cancels to 0: the batch fails too where numpy raises, as
+            # in the CLI
+            failing += 1
+            with pytest.raises(type(exc)):
+                energy_closed(g, v, Position(*point))
+            with np.errstate(divide="raise", invalid="raise"), pytest.raises(ArithmeticError):
+                energy_closed(g, v, np.array([point]))
+            continue
+        single = energy_closed(g, v, Position(*point))
+        assert type(single.value) is float and type(single.err_estimate) is float
+        assert value.hex() == want.hex() == single.value.hex(), point
+    assert failing <= (30 if g.kind is GeometryKind.BOSS_HAT else 0)
+
+
+def _outside_points(g):
+    """Points on or inside the conductor, each with the error its scalar
+    form raises."""
+    if g.kind is GeometryKind.PLANE:
+        return [(0.3, 0.0, 0.0), (0.0, 0.0, -0.0)]
+    radius = g.radius
+    inside = [(0.0, 0.0, radius), (radius, 0.0, 0.0), (0.1, 0.2, 0.3 * radius)]
+    if g.kind is not GeometryKind.BOSS_HAT:
+        return inside
+    above_plane = [(2.0 * radius, 0.0, 0.0), (-3.0, 1.0, -1e-9), (0.0, 0.6 * radius, 0.8 * radius)]
+    return inside + above_plane
+
+
+def test_energy_closed_batch_raises_where_the_scalar_form_raises(region_grid):
+    g, variances, grid = region_grid
+    v = _closed_variances(g, variances)
+    for k, bad in enumerate(_outside_points(g)):
+        with pytest.raises((ContactError, RegionError)) as scalar:
+            _scalar_closed(g, v, bad)
+        with pytest.raises(scalar.type):
+            energy_closed(g, v, Position(*bad))
+        points = np.insert(grid, k % (len(grid) + 1), bad, axis=0)
+        with pytest.raises(scalar.type):
+            energy_closed(g, v, points)
+
+
+@pytest.mark.parametrize(
+    "g", [GeometryConfig.grounded_sphere(1.0), GeometryConfig.isolated_sphere(1.0)]
+)
+def test_energy_closed_sphere_wants_isotropic_variances(g):
+    v = DipoleVariances(0.5, 1.0, 2.0)
+    with pytest.raises(ValueError, match="isotropic"):
+        energy_closed(g, v, Position(0.0, 0.0, 2.0))
+    with pytest.raises(ValueError, match="isotropic"):
+        energy_closed(g, v, np.array([[0.0, 0.0, 2.0], [0.0, 1.5, 1.5]]))
+
+
+@pytest.mark.parametrize(
+    "g,far",
+    [
+        (GeometryConfig.plane(), (0.0, 0.0, 1e120)),
+        (GeometryConfig.grounded_sphere(1.0), (0.0, 3e59, 4e59)),
+        (GeometryConfig.isolated_sphere(1.0), (0.0, 0.0, 1e60)),
+        (GeometryConfig.boss_hat(1.0), (-1e120, 0.0, 1.0)),
+    ],
+    ids=["plane", "gsphere", "isphere", "bosshat"],
+)
+def test_energy_closed_names_the_first_point_out_of_float_range(g, far):
+    v = DipoleVariances.isotropic(1.0, VarianceFrame.CYLINDRICAL_LOCAL
+                                  if g.kind is GeometryKind.BOSS_HAT else VarianceFrame.CARTESIAN)
+    with pytest.raises(OverflowError):
+        _scalar_closed(g, v, far)   # the documented scalar forms, unnamed
+    named = f"({far[0]!r}, {far[1]!r}, {far[2]!r})"
+    with pytest.raises(OverflowError, match=re.escape(named)) as single:
+        energy_closed(g, v, Position(*far))
+    assert "out of float range" in str(single.value)
+    points = np.array([(0.3, 0.0, 2.0), far, (0.0, 0.0, 3.0), far])
+    with pytest.raises(OverflowError, match=re.escape(named)):
+        energy_closed(g, v, points)
