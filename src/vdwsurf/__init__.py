@@ -12,10 +12,9 @@ three routes that take a Position or an (N, 3) array of points
 (energy_closed, energy_numeric, extrapolated_energy), the validation
 suites, the error classes and the types they take and return.
 Everything else is imported from its submodule: the image systems and
-G_H from vdwsurf.images, the finite-difference controls from
-vdwsurf.evaluator, the geometry helpers from vdwsurf.geometry, the pair
-potentials from vdwsurf.pairs, and the transcribed boss-hat forms, kept
-for provenance, from vdwsurf._errata.
+G_H from vdwsurf.images, the geometry helpers from vdwsurf.geometry,
+the pair potentials from vdwsurf.pairs, and the transcribed boss-hat
+forms, kept for provenance, from vdwsurf._errata.
 """
 
 from .closed import (

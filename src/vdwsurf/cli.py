@@ -254,16 +254,27 @@ def cmd_energy(args: argparse.Namespace) -> int:
 _SCAN_CHUNK = 256
 
 
-def _normalization(kind: str, g: GeometryConfig, positions: np.ndarray) -> np.ndarray:
-    """Scale factor of each scan point."""
+def _normalization(
+    kind: str, g: GeometryConfig, positions: np.ndarray, xs: list[float], var: str
+) -> np.ndarray:
+    """Scale factor of each scan point; an overflowing one names the grid
+    value of its point."""
     if kind == "none":
         return np.ones(len(positions))
     if kind == "R3":
         if g.kind is GeometryKind.PLANE:
             raise ValueError("--normalize R3 is undefined for the plane")
-        return np.full(len(positions), g.radius**3)
-    # Python's ** (the C library pow), which numpy's power may not match
-    return np.array([d**3 for d in surface_distance(g, positions).tolist()])
+        lengths = [g.radius] * len(positions)
+    else:
+        lengths = surface_distance(g, positions).tolist()
+    scales = []
+    for x, length in zip(xs, lengths):
+        try:
+            # Python's ** (the C library pow), which numpy's power may not match
+            scales.append(length**3)
+        except OverflowError:
+            raise OverflowError(f"at {var}={x!r}: --normalize {kind} overflows") from None
+    return np.array(scales)
 
 
 def _chunk_energies(
@@ -335,7 +346,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         positions = np.zeros((len(chunk), 3))
         positions[:, var_column] = chunk
         positions[:, fixed_column] = fixed
-        scales = _normalization(normalize, g, positions)
+        scales = _normalization(normalize, g, positions, chunk, var)
         values, errs, method_name = _chunk_energies(
             method, g, variances, chunk, positions, units, var
         )
@@ -364,6 +375,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else 0
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, not {seed}")
     suite = args.suite or "all"
     reports = run_all(seed=seed) if suite == "all" else [run_suite(suite, seed=seed)]
     for report in reports:

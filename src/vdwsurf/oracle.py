@@ -11,6 +11,8 @@ dispersion term (1/2*eps0) <d_m^2> d_m d'_m G_H.  extrapolated_energy
 centers each pair on the atom position (base = r0 - (h/2) e), which
 cancels the odd powers of h in the error expansion, then extrapolates
 the step schedule to h = 0 with a {1, h^2, h^4} least-squares fit.
+The schedule is fixed: the fractions DEFAULT_H_FRACTIONS of the
+distance to the surface.
 
 This path shares only the image construction with the closed forms and
 the numeric evaluator; the differentiation is replaced by physical
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .units import UnitSystem
 
 _REDUCED = UnitSystem.reduced()
 
-# Default step schedule as fractions of the distance to the surface:
+# Step schedule as fractions of the distance to the surface:
 # geometric, inside the quadratic-convergence window, above noise.
 DEFAULT_H_FRACTIONS = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 
@@ -96,7 +97,6 @@ def extrapolated_energy(
     g: GeometryConfig,
     atom: AtomSpec | DipoleVariances,
     r0: Position | np.ndarray,
-    h_schedule: Sequence[float] | None = None,
     units: UnitSystem = _REDUCED,
 ) -> EnergyResult:
     """Dispersion energy by finite-dipole h -> 0 extrapolation.
@@ -112,10 +112,9 @@ def extrapolated_energy(
     results.  Every sample of the batch comes from one G_H call, and the
     points whose design rows (h/ell)^2 agree bit for bit share one pair
     of least-squares calls, one right-hand side per (point, axis): a few
-    pairs per batch with the default schedule, one pair per distinct
-    distance to the surface with an explicit schedule.  Values, errors
-    and the axis a convergence failure names (that of the first failing
-    point) equal those of separate fits per point and axis.
+    pairs per batch.  Values, errors and the axis a convergence failure
+    names (that of the first failing point) equal those of separate fits
+    per point and axis.
     """
     points = as_points(r0).reshape(-1, 3)
     ell = surface_distance(g, points)[:, None]
@@ -123,15 +122,7 @@ def extrapolated_energy(
         raise RegionError("r0 must lie strictly inside the physical region")
     green = build_green(g)
     v = variances_of(atom)
-    if h_schedule is None:
-        h_values = ell * np.array(DEFAULT_H_FRACTIONS)
-    else:
-        h_values = np.asarray([float(h) for h in h_schedule])
-    if h_values.shape[-1] < 3:
-        raise ValueError("h_schedule needs at least 3 steps for the h^2, h^4 fit")
-    if not (np.all(h_values > 0.0) and np.all(np.diff(h_values) < 0.0)):
-        raise ValueError("h_schedule must be positive and strictly decreasing")
-    h_values = np.broadcast_to(h_values, (len(points), h_values.shape[-1]))
+    h_values = ell * np.array(DEFAULT_H_FRACTIONS)
     x = (h_values / ell) ** 2                                    # (N, K)
 
     weights = (v.m1, v.m2, v.m3)

@@ -937,6 +937,38 @@ def test_non_finite_scaled_row_exits_2_naming_its_point(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "geometry, grid, normalize",
+    [
+        (("plane",), ("1", "1e120"), "a3"),
+        (("gsphere", "--radius", "1e103"), ("2e103", "3e103"), "R3"),
+    ],
+    ids=["plane-a3", "gsphere-R3"],
+)
+def test_overflowing_normalization_exits_2_naming_option_and_point(
+    geometry, grid, normalize, capsys, tmp_path
+):
+    # a distance or radius above ~5.6e102 has a cube beyond the float range
+    out = tmp_path / "scan.csv"
+    code, _, err = run_cli(
+        capsys, "scan", "--geometry", *geometry, "--isotropic", "1",
+        "--from", grid[0], "--to", grid[1], "--normalize", normalize, "--out", str(out),
+    )
+    lo, hi = float(grid[0]), float(grid[1])
+    first = next(x for x in np.linspace(lo, hi, 50).tolist() if x > 5.7e102)
+    assert code == 2
+    assert err == f"vdwsurf: at z0={first!r}: --normalize {normalize} overflows\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("suite", ["bc", "symmetry", "limits", "threeway", "all"])
+def test_validate_rejects_a_negative_seed(suite, capsys):
+    code, out, err = run_cli(capsys, "validate", "--suite", suite, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "vdwsurf: --seed must be >= 0, not -1\n"
+
+
 _SCAN_OPTIONS = [(key, action) for key, action in _config_options("scan") if key != "out"]
 _SCAN_METHODS = ["closed", "numeric", "oracle", "expansion3"]
 _POINTS = st.integers(1, 12).map(str)

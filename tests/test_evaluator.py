@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,14 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vdwsurf.errors import RegionError, StepUnderflowError
-from vdwsurf.evaluator import DiffSettings, energy_numeric, mixed_second
+from vdwsurf.evaluator import energy_numeric
 from vdwsurf.geometry import (
     DipoleVariances,
     GeometryConfig,
+    GeometryKind,
     Position,
     VarianceFrame,
+    local_axes,
+    point_norms,
+    surface_distance,
 )
-from vdwsurf.images import build_green
+from vdwsurf.images import build_green, g_h
 from vdwsurf.closed import (
     u_bosshat_corrected,
     u_grounded_sphere,
@@ -25,57 +30,169 @@ ISO = DipoleVariances.isotropic(1.0)
 ISO_CYL = DipoleVariances.isotropic(1.0, VarianceFrame.CYLINDRICAL_LOCAL)
 
 
+def _richardson_reference(green, points, directions, base_step=1e-2, levels=3):
+    """The general Richardson tableau the numeric route used when its
+    step and level count were settable, kept as the reference of the
+    fixed three-level schedule: mixed second derivatives at (N, 3)
+    points along (N, A, 3) unit directions, each (N, A), as the value
+    and its last increment."""
+    dist = surface_distance(green.geometry, points)
+    if not np.all(dist > 0.0):
+        raise RegionError("r0 must lie strictly inside the physical region")
+    norm = point_norms(points)
+    scale = np.maximum(dist, 0.01 * norm)
+    h0 = base_step * scale
+    h0 = np.where(h0 >= dist, 0.45 * dist, h0)
+    if np.any(h0 / 2.0 ** (levels - 1) < 1e3 * sys.float_info.epsilon * norm):
+        raise StepUnderflowError(
+            "finite-difference step below floating-point resolution"
+        )
+    steps = [h0]
+    for _ in range(levels - 1):
+        steps.append(steps[-1] * 0.5)
+    h = np.stack(steps, axis=-1)[:, None, :]
+    offset = h[..., None] * directions[:, :, None, :]
+    center = points[:, None, None, :]
+    plus = center + offset
+    minus = center - offset
+    values = g_h(
+        green,
+        np.stack([plus, plus, minus, minus], axis=-2),
+        np.stack([plus, minus, plus, minus], axis=-2),
+    )
+    stencil = (
+        values[..., 0] - values[..., 1] - values[..., 2] + values[..., 3]
+    ) / (4.0 * h * h)
+    row_prev = []
+    diag_prev = None
+    for i in range(levels):
+        row = [stencil[..., i]]
+        for j in range(1, i + 1):
+            factor = 4.0**j
+            row.append(row[j - 1] + (row[j - 1] - row_prev[j - 1]) / (factor - 1.0))
+        if i == levels - 2:
+            diag_prev = row[-1]
+        row_prev = row
+    value = row_prev[-1]
+    return value, np.abs(value - diag_prev)
+
+
+def _reference_energy(g, v, points):
+    """energy_numeric summed over the axes of _richardson_reference, as
+    the bytes of value and err_estimate."""
+    weights = (v.m1, v.m2, v.m3)
+    active = [m for m in range(3) if weights[m] != 0.0]
+    d, e = _richardson_reference(
+        build_green(g), points, local_axes(v.frame, points)[:, active]
+    )
+    value = np.zeros(len(points))
+    err = np.zeros(len(points))
+    for k, m in enumerate(active):
+        value = value + weights[m] * d[:, k]
+        err = err + weights[m] * np.abs(e[:, k])
+    return (2.0 * math.pi * value).tobytes(), (2.0 * math.pi * err).tobytes()
+
+
+def _route_bytes(g, v, points):
+    result = energy_numeric(g, v, points)
+    return result.value.tobytes(), result.err_estimate.tobytes()
+
+
+def test_fixed_schedule_equals_richardson_reference_on_grid(region_grid):
+    g, variances, points = region_grid
+    assert _route_bytes(g, variances, points) == _reference_energy(g, variances, points)
+
+
+def _random_points(g, rng, n):
+    """n points at gaps R*10^U(-9, 0) from the surface (R = 1 for the
+    plane), in every direction; for the boss hat half of them lie above
+    the plane, beside or over the boss."""
+    radius = g.radius or 1.0
+    gap = radius * 10.0 ** rng.uniform(-9.0, 0.0, n)
+    if g.kind is GeometryKind.PLANE:
+        points = rng.uniform(-2.0, 2.0, (n, 3))
+        points[:, 2] = gap
+        return points
+    u = rng.normal(size=(n, 3))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    if g.kind is GeometryKind.BOSS_HAT:
+        u[:, 2] = np.abs(u[:, 2])
+        points = u * (radius + gap)[:, None]
+        above = rng.uniform(-3.0 * radius, 3.0 * radius, (n, 3))
+        above[:, 2] = gap
+        beside = np.hypot(above[:, 0], above[:, 1]) > radius
+        pick = (rng.random(n) < 0.5) & beside
+        points[pick] = above[pick]
+        return points
+    return u * (radius + gap)[:, None]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        GeometryConfig.plane(),
+        GeometryConfig.grounded_sphere(1.3),
+        GeometryConfig.isolated_sphere(0.7),
+        GeometryConfig.boss_hat(1.0),
+    ],
+    ids=["plane", "gsphere", "isphere", "bosshat"],
+)
+def test_fixed_schedule_equals_richardson_reference_on_random_points(g):
+    # 4 geometries x 3 variance sets x 167 points: 2,004 seeded points,
+    # with zero-weight axes in two of the sets
+    rng = np.random.default_rng(20261018)
+    frame = (
+        VarianceFrame.CYLINDRICAL_LOCAL
+        if g.kind is GeometryKind.BOSS_HAT
+        else VarianceFrame.CARTESIAN
+    )
+    for weights in ((0.5, 1.0, 2.0), (0.0, 0.0, 1.0), (1.0, 0.3, 0.0)):
+        v = DipoleVariances(*weights, frame)
+        points = _random_points(g, rng, 167)
+        assert _route_bytes(g, v, points) == _reference_energy(g, v, points)
+
+
+# The energy of a single unit variance along one axis is 2*pi times the
+# mixed second derivative of G_H along it (reduced units).
+X_ONLY = DipoleVariances(1.0, 0.0, 0.0)
+Y_ONLY = DipoleVariances(0.0, 1.0, 0.0)
+Z_ONLY = DipoleVariances(0.0, 0.0, 1.0)
+
+
 def test_mixed_second_plane_examples():
-    green = build_green(GeometryConfig.plane())
-    vx, _ = mixed_second(green, Position(0, 0, 1), "x")
-    vz, _ = mixed_second(green, Position(0, 0, 1), "z")
-    assert vx == pytest.approx(-1.0 / (32.0 * math.pi), rel=1e-9)
-    assert vz == pytest.approx(-1.0 / (16.0 * math.pi), rel=1e-9)
+    g = GeometryConfig.plane()
+    ex = energy_numeric(g, X_ONLY, Position(0, 0, 1)).value
+    ez = energy_numeric(g, Z_ONLY, Position(0, 0, 1)).value
+    assert ex == pytest.approx(2.0 * math.pi * (-1.0 / (32.0 * math.pi)), rel=1e-9)
+    assert ez == pytest.approx(2.0 * math.pi * (-1.0 / (16.0 * math.pi)), rel=1e-9)
 
 
 def test_mixed_second_sphere_example():
-    green = build_green(GeometryConfig.grounded_sphere(1.0))
-    vx, _ = mixed_second(green, Position(0, 0, 2), "x")
-    assert vx == pytest.approx(-1.0 / (108.0 * math.pi), rel=1e-9)
+    g = GeometryConfig.grounded_sphere(1.0)
+    ex = energy_numeric(g, X_ONLY, Position(0, 0, 2)).value
+    assert ex == pytest.approx(2.0 * math.pi * (-1.0 / (108.0 * math.pi)), rel=1e-9)
 
 
 def test_axis_exchange_symmetry():
-    green = build_green(GeometryConfig.grounded_sphere(1.0))
+    g = GeometryConfig.grounded_sphere(1.0)
     r0 = Position(0, 0, 2.3)
-    vx, _ = mixed_second(green, r0, "x")
-    vy, _ = mixed_second(green, r0, "y")
-    assert vx == pytest.approx(vy, rel=1e-10)
+    ex = energy_numeric(g, X_ONLY, r0).value
+    ey = energy_numeric(g, Y_ONLY, r0).value
+    assert ex == pytest.approx(ey, rel=1e-10)
 
 
 def test_error_estimate_brackets_true_error():
-    green = build_green(GeometryConfig.plane())
-    value, err = mixed_second(green, Position(0, 0, 1), "z")
-    truth = -1.0 / (16.0 * math.pi)
-    assert abs(value - truth) <= 10.0 * err + 1e-15
+    got = energy_numeric(GeometryConfig.plane(), Z_ONLY, Position(0, 0, 1))
+    truth = 2.0 * math.pi * (-1.0 / (16.0 * math.pi))
+    assert abs(got.value - truth) <= 10.0 * got.err_estimate + 1e-15
 
 
-def test_richardson_levels_improve_accuracy():
-    green = build_green(GeometryConfig.plane())
-    truth = -1.0 / (16.0 * math.pi)
-    coarse, _ = mixed_second(
-        green, Position(0, 0, 1), "z", DiffSettings(base_step=1e-2, richardson_levels=1)
-    )
-    fine, _ = mixed_second(
-        green, Position(0, 0, 1), "z", DiffSettings(base_step=1e-2, richardson_levels=3)
-    )
-    assert abs(fine - truth) < abs(coarse - truth) * 1e-3
-
-
-def test_invalid_axis_and_settings():
-    green = build_green(GeometryConfig.plane())
+def test_invalid_axis_weights():
+    # the axes are chosen by the variance components, which must be >= 0
     with pytest.raises(ValueError):
-        mixed_second(green, Position(0, 0, 1), "w")
+        energy_numeric(GeometryConfig.plane(), DipoleVariances(1.0, -1.0, 0.0), Position(0, 0, 1))
     with pytest.raises(ValueError):
-        DiffSettings(base_step=0.0)
-    with pytest.raises(ValueError):
-        DiffSettings(base_step=0.5)
-    with pytest.raises(ValueError):
-        DiffSettings(richardson_levels=0)
+        energy_numeric(GeometryConfig.plane(), DipoleVariances(math.nan, 0.0, 1.0), Position(0, 0, 1))
 
 
 def test_region_error_outside():
@@ -88,15 +205,12 @@ def test_region_error_outside():
 
 
 def test_step_underflow_near_contact():
-    green = build_green(GeometryConfig.grounded_sphere(1.0))
-    # gap of 1e-12 on a unit sphere: admissible steps are sub-ulp
+    # gap of 1e-12 on a unit sphere: the third step h0/4 is sub-ulp
+    g = GeometryConfig.grounded_sphere(1.0)
     with pytest.raises(StepUnderflowError):
-        mixed_second(
-            green,
-            Position(0, 0, 1.0 + 1e-12),
-            "z",
-            DiffSettings(base_step=1e-2, richardson_levels=6),
-        )
+        energy_numeric(g, Z_ONLY, Position(0, 0, 1.0 + 1e-12))
+    with pytest.raises(StepUnderflowError):
+        energy_numeric(g, ISO, np.array([(0.0, 0.0, 2.0), (0.0, 0.0, 1.0 + 1e-12)]))
 
 
 @given(z0=st.floats(0.5, 20.0))

@@ -142,14 +142,6 @@ def test_extrapolated_energy_region_error():
         extrapolated_energy(GeometryConfig.plane(), ISO, Position(0, 0, -0.5))
 
 
-def test_extrapolated_energy_rejects_bad_schedule():
-    g = GeometryConfig.plane()
-    with pytest.raises(ValueError):
-        extrapolated_energy(g, ISO, Position(0, 0, 1.0), h_schedule=(1e-2, 1e-2, 5e-3))
-    with pytest.raises(ValueError):
-        extrapolated_energy(g, ISO, Position(0, 0, 1.0), h_schedule=(1e-2, 5e-3))
-
-
 def test_anisotropic_oracle_weights_axes_independently():
     g = GeometryConfig.plane()
     z0 = 1.5
@@ -171,29 +163,19 @@ def test_extrapolated_energy_grid_equals_per_point_calls(region_grid):
         assert batch.err_estimate[i] == single.err_estimate
 
 
-def test_extrapolated_energy_grid_with_explicit_schedule():
-    g = GeometryConfig.plane()
-    grid = np.array([(0.0, 0.0, 1.0), (0.3, 0.0, 2.0)])
-    schedule = (1e-2, 5e-3, 2.5e-3)
-    batch = extrapolated_energy(g, ISO, grid, h_schedule=schedule)
-    for i, p in enumerate(grid.tolist()):
-        assert batch.value[i] == extrapolated_energy(g, ISO, Position(*p), h_schedule=schedule).value
-
-
-def _per_point_reference(g, atom, r0, h_schedule=None, units=UnitSystem.reduced()):
+def _per_point_reference(
+    g, atom, r0, fractions=DEFAULT_H_FRACTIONS, units=UnitSystem.reduced()
+):
     """extrapolated_energy as it was with one pair of least-squares fits
-    per point and axis, kept as the reference of the grouped fits."""
+    per point and axis, kept as the reference of the grouped fits; the
+    step schedule is the given fractions of the distance to the surface."""
     points = as_points(r0).reshape(-1, 3)
     if not np.all(physical_region(g, points)):
         raise RegionError("r0 must lie strictly inside the physical region")
     green = build_green(g)
     v = variances_of(atom)
     ell = surface_distance(g, points)[:, None]
-    if h_schedule is None:
-        h_values = ell * np.array(DEFAULT_H_FRACTIONS)
-    else:
-        h_values = np.asarray([float(h) for h in h_schedule])
-    h_values = np.broadcast_to(h_values, (len(points), h_values.shape[-1]))
+    h_values = ell * np.array(fractions)
     x = (h_values / ell) ** 2
 
     weights = (v.m1, v.m2, v.m3)
@@ -274,37 +256,61 @@ def test_grouped_fits_equal_per_point_fits(region_grid, monkeypatch):
         )
 
 
+def test_grouped_fits_equal_per_point_fits_over_random_distances(monkeypatch):
+    # distances to the surface spread over nine decades give design rows
+    # (h/ell)^2 that differ in their last bits, so the batch has several
+    # groups of points sharing one pair of least-squares fits
+    rng = np.random.default_rng(7)
+    g = GeometryConfig.grounded_sphere(1.3)
+    u = rng.normal(size=(300, 3))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    points = u * (1.3 + 10.0 ** rng.uniform(-6.0, 3.0, 300))[:, None]
+    ell = surface_distance(g, points)[:, None]
+    rows = {x.tobytes() for x in (ell * np.array(DEFAULT_H_FRACTIONS) / ell) ** 2}
+    assert len(rows) >= 2
+    variances = DipoleVariances(0.5, 1.0, 2.0)
+    want = _outcome(_per_point_reference, g, variances, points)
+    assert want[0] is np.ndarray
+    calls = _count_lstsq(monkeypatch)
+    assert _outcome(extrapolated_energy, g, variances, points) == want
+    assert len(calls) == 2 * len(rows)
+
+
 @pytest.mark.parametrize("near_contact", [True, False], ids=["near-contact", "bulk"])
 def test_grouped_fits_equal_per_point_fits_with_custom_schedule(
     region_grid, near_contact, monkeypatch
 ):
-    # an absolute schedule gives every distance to the surface its own
-    # design; it is scaled to the nearest point of each band, so that
-    # every fit converges
+    # a coarser schedule, set through the module constant, which the
+    # route reads at each call
+    fractions = (0.2, 0.1, 0.05)
+    monkeypatch.setattr("vdwsurf.oracle.DEFAULT_H_FRACTIONS", fractions)
     g, variances, points = region_grid
-    ell = surface_distance(g, points)
-    band = (ell < 1e-3) == near_contact
+    ell = surface_distance(g, points)[:, None]
+    band = (ell[:, 0] < 1e-3) == near_contact
     points, ell = points[band], ell[band]
-    schedule = tuple(float(ell.min()) * f for f in (0.2, 0.1, 0.05))
-    want = _outcome(_per_point_reference, g, variances, points, h_schedule=schedule)
+    rows = {x.tobytes() for x in (ell * np.array(fractions) / ell) ** 2}
+    want = _outcome(_per_point_reference, g, variances, points, fractions)
     assert want[0] is np.ndarray
     calls = _count_lstsq(monkeypatch)
-    assert _outcome(extrapolated_energy, g, variances, points, h_schedule=schedule) == want
-    assert len(calls) == 2 * len(set(ell.tolist()))
+    assert _outcome(extrapolated_energy, g, variances, points) == want
+    assert len(calls) == 2 * len(rows)
 
 
-def test_extrapolation_error_names_the_first_failing_point_and_axis():
-    # with this coarse schedule the point at z0 = 5 converges, the one at
-    # 1.25 fails on axis 3 only and the one at 0.8 fails on every axis;
-    # point by point, the first failure is axis 3 of the second point
-    g = GeometryConfig.plane()
+def test_extrapolation_error_names_the_first_failing_point_and_axis(monkeypatch):
+    # with this coarse schedule, on the axis of the isolated unit sphere,
+    # the point at z0 = 5 converges, the one at 10 fails first on axis 3
+    # and the one at 30 first on axis 1; point by point, the first
+    # failure is axis 3 of the second point, while a loop over axes
+    # first would name axis 1
+    fractions = (0.4, 0.2, 0.1)
+    monkeypatch.setattr("vdwsurf.oracle.DEFAULT_H_FRACTIONS", fractions)
+    g = GeometryConfig.isolated_sphere(1.0)
     v = DipoleVariances(1.0, 1.0, 1.0)
-    schedule = (0.8, 0.4, 0.2)
-    extrapolated_energy(g, v, Position(0, 0, 5.0), h_schedule=schedule)
-    for z0, axis in ((1.25, 3), (0.8, 1)):
+    extrapolated_energy(g, v, Position(0, 0, 5.0))
+    for z0, axis in ((10.0, 3), (30.0, 1)):
         with pytest.raises(ExtrapolationError, match=f"on axis {axis}$"):
-            extrapolated_energy(g, v, Position(0, 0, z0), h_schedule=schedule)
-    grid = np.array([(0.0, 0.0, 5.0), (0.0, 0.0, 1.25), (0.0, 0.0, 0.8)])
-    want = _outcome(_per_point_reference, g, v, grid, h_schedule=schedule)
+            extrapolated_energy(g, v, Position(0, 0, z0))
+    grid = np.array([(0.0, 0.0, 5.0), (0.0, 0.0, 10.0), (0.0, 0.0, 30.0)])
+    want = _outcome(_per_point_reference, g, v, grid, fractions)
     assert want == ("ExtrapolationError", "finite-dipole extrapolation failed to converge on axis 3")
-    assert _outcome(extrapolated_energy, g, v, grid, h_schedule=schedule) == want
+    assert _outcome(extrapolated_energy, g, v, grid) == want
