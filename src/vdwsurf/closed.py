@@ -88,9 +88,16 @@ def u_plane(
     if np.any(z0 == 0.0):
         raise ContactError("zero distance to the plane")
     v = variances
-    value = -(v.m1 + v.m2 + 2.0 * v.m3) / (
-        16.0 * units.four_pi_epsilon0 * _power(abs(z0), 3)
-    )
+    cube = _power(abs(z0), 3)
+    with np.errstate(over="ignore"):
+        denominator = 16.0 * units.four_pi_epsilon0 * cube
+    value = -(v.m1 + v.m2 + 2.0 * v.m3) / denominator
+    # 16 k |z0|^3 overflows a little before |z0|^3 does: there the energy
+    # is divided in two steps rather than left a silent -0.0
+    split = np.isinf(denominator) & np.isfinite(cube)
+    if np.any(split):
+        two_steps = -(v.m1 + v.m2 + 2.0 * v.m3) / (16.0 * units.four_pi_epsilon0) / cube
+        value = np.where(split, two_steps, value) if isinstance(value, np.ndarray) else two_steps
     return EnergyResult(value, 0.0, Method.CLOSED_FORM, units.mode)
 
 

@@ -228,8 +228,9 @@ def bc_residual(green: HomogeneousGreen, g: GeometryConfig, r_surface, r_prime):
 
 def surface_sample(
     g: GeometryConfig, n: int, rng_seed: int, extent: float = 10.0
-) -> list[Position]:
-    """n deterministic pseudo-random points on the conductor surface.
+) -> np.ndarray:
+    """n deterministic pseudo-random points on the conductor surface, as
+    an (n, 3) array.
 
     Plane: uniform over a disk of the given radius (extent).  Spheres:
     uniform over the full sphere.  Boss hat: hemisphere plus the annulus
@@ -241,23 +242,23 @@ def surface_sample(
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(rng_seed)
 
-    def disk(count: int, r_inner: float, r_outer: float) -> list[Position]:
+    def disk(count: int, r_inner: float, r_outer: float) -> np.ndarray:
         u = rng.random(count)
-        ang = rng.random(count) * (2.0 * math.pi)
+        ang = (rng.random(count) * (2.0 * math.pi)).tolist()
         rad = np.sqrt(r_inner**2 + u * (r_outer**2 - r_inner**2))
-        return [
-            Position(rad[i] * math.cos(ang[i]), rad[i] * math.sin(ang[i]), 0.0)
-            for i in range(count)
-        ]
+        # math.cos and math.sin, the C library's; np.cos may round differently
+        cos = np.fromiter(map(math.cos, ang), float, count)
+        sin = np.fromiter(map(math.sin, ang), float, count)
+        return np.column_stack([rad * cos, rad * sin, np.zeros(count)])
 
-    def sphere(count: int, hemisphere: bool) -> list[Position]:
+    def sphere(count: int, hemisphere: bool) -> np.ndarray:
         v = rng.normal(size=(count, 3))
         norms = np.linalg.norm(v, axis=1)
         norms[norms == 0.0] = 1.0   # measure-zero guard
         v = v / norms[:, None] * g.radius
         if hemisphere:
             v[:, 2] = np.abs(v[:, 2])
-        return [Position(float(a), float(b), float(c)) for a, b, c in v]
+        return v
 
     if g.kind is GeometryKind.PLANE:
         return disk(n, 0.0, extent)
@@ -269,7 +270,6 @@ def surface_sample(
     area_annulus = math.pi * (outer**2 - g.radius**2)
     n_hemisphere = int(round(n * area_hemisphere / (area_hemisphere + area_annulus)))
     n_hemisphere = min(max(n_hemisphere, 1), n)
-    points = sphere(n_hemisphere, hemisphere=True)
-    if n - n_hemisphere > 0:
-        points.extend(disk(n - n_hemisphere, g.radius, outer))
-    return points
+    return np.concatenate(
+        [sphere(n_hemisphere, hemisphere=True), disk(n - n_hemisphere, g.radius, outer)]
+    )

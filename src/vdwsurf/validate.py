@@ -82,18 +82,27 @@ def _sources_sphere(rng: np.random.Generator, n: int, radius: float) -> np.ndarr
 
 
 def _sources_bosshat(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
-    points: list[Position] = []
-    while len(points) < n:
-        x, y = rng.uniform(-2.0, 2.0, size=2)
-        z = rng.uniform(0.05, 2.0)
-        p = Position(float(x), float(y), float(z))
-        if p.norm > radius * 1.05:
-            points.append(p)
-    return np.array([(p.x, p.y, p.z) for p in points])
-
-
-def _surface_points(g: GeometryConfig, n: int, rng_seed: int) -> np.ndarray:
-    return np.array([(p.x, p.y, p.z) for p in surface_sample(g, n, rng_seed=rng_seed)])
+    """n points of the box [-2, 2]^2 x [0.05, 2] beyond 1.05 R, by
+    rejection from blocks of rng.random.  rng.uniform(low, high) is
+    low + (high - low) * rng.random(), so the points and the end state of
+    rng are those of drawing x, y, z with rng.uniform point by point."""
+    limit = radius * 1.05
+    if not limit < math.sqrt(12.0):   # the norm of the box's far corner
+        raise ValueError(f"no point of the source box lies beyond 1.05 R for R={radius!r}")
+    low = np.array([-2.0, -2.0, 0.05])
+    span = np.array([2.0 - -2.0, 2.0 - -2.0, 2.0 - 0.05])
+    start = rng.bit_generator.state
+    k = n + n // 4 + 16
+    while True:
+        v = low + span * rng.random((k, 3))
+        x, y, z = v.T
+        accepted = np.flatnonzero(np.sqrt(x * x + y * y + z * z) > limit)   # Position.norm's order
+        rng.bit_generator.state = start
+        if len(accepted) >= n:
+            break
+        k *= 2
+    rng.random(3 * (int(accepted[n - 1]) + 1))   # the draws of the point-by-point loop
+    return v[accepted[:n]]
 
 
 _GROUNDED = (
@@ -119,12 +128,14 @@ def suite_bc(seed: int = 0, n_pairs: int = 1000) -> SuiteReport:
     S must equal -r'/(4*pi*|r'|^3); the residual is finite-difference
     limited, hence the looser tolerance.
     """
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be >= 1, not {n_pairs!r}")
     checks = []
     for offset, (name, g) in enumerate(_GROUNDED):
         rng = np.random.default_rng(seed + 1000 * offset)
         green = build_green(g)
         sources = _sources_for(g, rng, n_pairs)
-        surface = _surface_points(g, n_pairs, seed + 1000 * offset + 7)
+        surface = surface_sample(g, n_pairs, seed + 1000 * offset + 7)
         worst = float(np.max(np.abs(bc_residual(green, g, surface, sources))))
         checks.append(_check(f"dirichlet residual {name}", worst, 1e-11))
 
@@ -132,7 +143,7 @@ def suite_bc(seed: int = 0, n_pairs: int = 1000) -> SuiteReport:
     rng = np.random.default_rng(seed + 9000)
     green = build_green(g_iso)
     sources = _sources_sphere(rng, 200, g_iso.radius)
-    surface = _surface_points(g_iso, 200, seed + 9007)
+    surface = surface_sample(g_iso, 200, seed + 9007)
     worst = float(np.max(np.abs(bc_residual(green, g_iso, surface, sources))))
     checks.append(_check("isolated-sphere gradient condition", worst, 1e-9))
     return SuiteReport("bc", tuple(checks))
@@ -140,6 +151,8 @@ def suite_bc(seed: int = 0, n_pairs: int = 1000) -> SuiteReport:
 
 def suite_symmetry(seed: int = 0, n_pairs: int = 1000) -> SuiteReport:
     """G_H(r, r') = G_H(r', r) for the grounded geometries."""
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be >= 1, not {n_pairs!r}")
     checks = []
     for offset, (name, g) in enumerate(_GROUNDED):
         rng = np.random.default_rng(seed + 100 + 1000 * offset)

@@ -961,6 +961,33 @@ def test_overflowing_normalization_exits_2_naming_option_and_point(
     assert not out.exists()
 
 
+def test_plane_energy_where_16_z0_cubed_overflows_is_not_zero(capsys):
+    energies = {}
+    for method in ("closed", "numeric"):
+        code, out, _ = run_cli(
+            capsys, "energy", "--geometry", "plane", "--isotropic", "1", "--z0", "2.5e102",
+            "--method", method,
+        )
+        assert code == 0
+        energies[method] = json.loads(out)["energy"]
+    assert energies["closed"] < 0.0
+    assert energies["closed"] == pytest.approx(energies["numeric"], rel=1e-10)
+
+
+def test_normalized_plane_scan_stays_at_minus_one_twelfth_up_to_the_cube_overflow(
+    capsys, tmp_path
+):
+    out = tmp_path / "scan.csv"
+    code, _, _ = run_cli(
+        capsys, "scan", "--geometry", "plane", "--isotropic", "1", "--method", "closed",
+        "--from", "1e100", "--to", "5e102", "--points", "3", "--normalize", "a3",
+        "--out", str(out),
+    )
+    assert code == 0
+    values = [float(row.split(",")[1]) for row in out.read_text().splitlines()[1:]]
+    assert values == pytest.approx([-1.0 / 12.0] * 3, rel=1e-12)
+
+
 @pytest.mark.parametrize("suite", ["bc", "symmetry", "limits", "threeway", "all"])
 def test_validate_rejects_a_negative_seed(suite, capsys):
     code, out, err = run_cli(capsys, "validate", "--suite", suite, "--seed", "-1")

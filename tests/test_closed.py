@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from vdwsurf.errors import ContactError, ExpansionWindowError, RegionError
 from vdwsurf._errata import u_bosshat, xi_factors
+from vdwsurf.evaluator import energy_numeric
 from vdwsurf.closed import (
     BOSSHAT_EXPANSION_C3,
     SPHERE_EXPANSION_C3,
@@ -43,6 +44,35 @@ def test_plane_examples():
     assert u_plane(ISO, 1.0).value == pytest.approx(-1.0 / 12.0)
     with pytest.raises(ContactError):
         u_plane(ISO, 0.0)
+
+
+# 16 |z0|^3 overflows from about 2.24e102, |z0|^3 itself above 5.64e102
+@pytest.mark.parametrize("z0", [2.25e102, 2.5e102, 4e102, 5.5e102])
+def test_plane_energy_where_only_the_denominator_overflows(z0):
+    v = DipoleVariances(0.5, 1.0, 2.0)
+    value = u_plane(v, z0).value
+    assert value < 0.0
+    # scaling z0 by 2^-10 is exact, so this is the energy at z0 rounded once
+    assert value == pytest.approx(u_plane(v, z0 / 2.0**10).value / 2.0**30, rel=1e-12)
+    # the numeric route agrees to about 2e-11 at every distance
+    numeric = energy_numeric(GeometryConfig.plane(), v, Position(0.0, 0.0, z0)).value
+    assert value == pytest.approx(numeric, rel=1e-10)
+    points = np.array([(0.0, 0.0, 1.0), (0.5, 0.0, z0), (0.0, 0.0, -z0)])
+    for over in ("warn", "raise"):   # the CLI runs the routes under over="raise"
+        with np.errstate(over=over):
+            batch = energy_closed(GeometryConfig.plane(), v, points).value
+            single = [energy_closed(GeometryConfig.plane(), v, Position(*p)).value
+                      for p in points.tolist()]
+        assert batch.tobytes() == np.array(single).tobytes()
+        assert batch[1] == value
+
+
+def test_plane_energy_keeps_its_bits_below_the_overflow():
+    z0 = 10.0 ** np.random.default_rng(5).uniform(-100.0, 102.3, 2000)
+    for v in (ISO, DipoleVariances(0.5, 1.0, 2.0)):
+        k = UnitSystem.reduced().four_pi_epsilon0
+        want = [-(v.m1 + v.m2 + 2.0 * v.m3) / (16.0 * k * z**3) for z in z0.tolist()]
+        assert u_plane(v, z0).value.tobytes() == np.array(want).tobytes()
 
 
 @given(z0=st.floats(0.1, 100.0), scale=st.floats(1.5, 4.0))

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vdwsurf.errors import DegenerateSourceError
-from vdwsurf.geometry import GeometryConfig, GeometryKind, Position, physical_region
+from vdwsurf.geometry import GeometryConfig, GeometryKind, Position, as_points, physical_region
 from vdwsurf._errata import bosshat_radicals, g_h_bosshat_cylindrical
 from vdwsurf.images import (
     bc_residual,
@@ -179,8 +179,7 @@ def test_grounded_bc_vanishes_on_sampled_surface(config, sources):
     green = build_green(config)
     surface = surface_sample(config, 64, rng_seed=7)
     for rp in sources:
-        for rs in surface:
-            assert abs(bc_residual(green, config, rs, rp)) < 1e-11
+        assert np.all(np.abs(bc_residual(green, config, surface, as_points(rp))) < 1e-11)
 
 
 def test_bc_residual_rejects_off_surface_point():
@@ -194,9 +193,8 @@ def test_isolated_bc_gradient_condition():
     config = GeometryConfig.isolated_sphere(1.0)
     green = build_green(config)
     surface = surface_sample(config, 32, rng_seed=3)
-    rp = Position(0.4, -0.9, 1.9)
-    for rs in surface:
-        assert abs(bc_residual(green, config, rs, rp)) < 1e-9
+    rp = as_points(Position(0.4, -0.9, 1.9))
+    assert np.all(np.abs(bc_residual(green, config, surface, rp)) < 1e-9)
 
 
 @pytest.mark.parametrize(
@@ -211,19 +209,18 @@ def test_isolated_bc_gradient_condition():
 )
 def test_surface_sample_membership_and_determinism(config):
     pts = surface_sample(config, 200, rng_seed=123)
-    assert len(pts) == 200
+    assert pts.shape == (200, 3) and pts.dtype == np.float64
     scale = max(config.radius, 1.0)
-    for p in pts:
-        assert surface_deviation(config, p) <= 1e-12 * scale
+    assert np.all(surface_deviation(config, pts) <= 1e-12 * scale)
     again = surface_sample(config, 200, rng_seed=123)
-    assert pts == again
+    assert pts.tobytes() == again.tobytes()
     different = surface_sample(config, 200, rng_seed=124)
-    assert pts != different
+    assert pts.tobytes() != different.tobytes()
 
 
 def test_bosshat_sample_covers_boss_and_brim():
     config = GeometryConfig.boss_hat(1.0)
-    pts = surface_sample(config, 400, rng_seed=5, extent=4.0)
+    pts = [Position(*p) for p in surface_sample(config, 400, rng_seed=5, extent=4.0).tolist()]
     on_boss = [p for p in pts if p.z > 1e-9]
     on_brim = [p for p in pts if p.z <= 1e-9]
     assert on_boss and on_brim
@@ -344,12 +341,63 @@ def test_bc_residual_arrays_equal_per_pair_calls(config):
     green = build_green(config)
     surface = surface_sample(config, 40, rng_seed=11)
     sources = [Position(0.4, -0.9, 1.9), Position(-2.0, 0.1, 0.3)] * 20
-    batch = bc_residual(
-        green,
-        config,
-        np.array([(p.x, p.y, p.z) for p in surface]),
-        np.array([(p.x, p.y, p.z) for p in sources]),
-    )
+    batch = bc_residual(green, config, surface, np.array([(p.x, p.y, p.z) for p in sources]))
     assert batch.tolist() == [
-        bc_residual(green, config, rs, rp) for rs, rp in zip(surface, sources)
+        bc_residual(green, config, Position(*rs), rp) for rs, rp in zip(surface.tolist(), sources)
     ]
+
+
+def _surface_sample_reference(g, n, rng_seed, extent=10.0):
+    """surface_sample as it was, a list of Positions built point by
+    point, kept as the reference of the array sampler."""
+    rng = np.random.default_rng(rng_seed)
+
+    def disk(count, r_inner, r_outer):
+        u = rng.random(count)
+        ang = rng.random(count) * (2.0 * math.pi)
+        rad = np.sqrt(r_inner**2 + u * (r_outer**2 - r_inner**2))
+        return [
+            Position(rad[i] * math.cos(ang[i]), rad[i] * math.sin(ang[i]), 0.0)
+            for i in range(count)
+        ]
+
+    def sphere(count, hemisphere):
+        v = rng.normal(size=(count, 3))
+        norms = np.linalg.norm(v, axis=1)
+        norms[norms == 0.0] = 1.0
+        v = v / norms[:, None] * g.radius
+        if hemisphere:
+            v[:, 2] = np.abs(v[:, 2])
+        return [Position(float(a), float(b), float(c)) for a, b, c in v]
+
+    if g.kind is GeometryKind.PLANE:
+        return disk(n, 0.0, extent)
+    if g.kind in (GeometryKind.GROUNDED_SPHERE, GeometryKind.ISOLATED_SPHERE):
+        return sphere(n, hemisphere=False)
+    area_hemisphere = 2.0 * math.pi * g.radius**2
+    outer = max(extent, g.radius)
+    area_annulus = math.pi * (outer**2 - g.radius**2)
+    n_hemisphere = int(round(n * area_hemisphere / (area_hemisphere + area_annulus)))
+    n_hemisphere = min(max(n_hemisphere, 1), n)
+    points = sphere(n_hemisphere, hemisphere=True)
+    if n - n_hemisphere > 0:
+        points.extend(disk(n - n_hemisphere, g.radius, outer))
+    return points
+
+
+@pytest.mark.parametrize(
+    "config",
+    [GeometryConfig.plane()]
+    + [
+        make(radius)
+        for make in (GeometryConfig.grounded_sphere, GeometryConfig.isolated_sphere,
+                     GeometryConfig.boss_hat)
+        for radius in (0.5, 1.0, 1.9)
+    ],
+    ids=lambda g: f"{g.kind.value}-{g.radius}",
+)
+def test_surface_sample_equals_the_position_loop_bit_for_bit(config):
+    for seed in range(50):
+        for n in (1, 2, 7, 50, 200, 1000, 1001):
+            want = np.array([(p.x, p.y, p.z) for p in _surface_sample_reference(config, n, seed)])
+            assert surface_sample(config, n, seed).tobytes() == want.tobytes()

@@ -1,6 +1,11 @@
+import numpy as np
 import pytest
 
+from test_images import _surface_sample_reference
+from vdwsurf import validate
+from vdwsurf.geometry import Position
 from vdwsurf.validate import (
+    _sources_bosshat,
     run_all,
     run_suite,
     suite_bc,
@@ -60,3 +65,53 @@ def test_report_lines_format():
     assert lines[0].startswith("suite limits:")
     assert any("PASS" in line for line in lines[1:])
     assert all(("PASS" in line) or ("FAIL" in line) for line in lines[1:])
+
+
+def _sources_bosshat_reference(rng, n, radius):
+    """_sources_bosshat as a loop drawing one point at a time, kept as
+    the reference of the block draw."""
+    points = []
+    while len(points) < n:
+        x, y = rng.uniform(-2.0, 2.0, size=2)
+        z = rng.uniform(0.05, 2.0)
+        p = Position(float(x), float(y), float(z))
+        if p.norm > radius * 1.05:
+            points.append(p)
+    return np.array([(p.x, p.y, p.z) for p in points])
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 1.9])
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 200, 1000, 1001])
+def test_bosshat_sources_equal_the_loop_bit_for_bit(n, radius):
+    for seed in range(50):
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        points = _sources_bosshat(rng, n, radius)
+        want = _sources_bosshat_reference(reference_rng, n, radius)
+        assert points.shape == (n, 3)
+        assert points.tobytes() == want.tobytes()
+        # the symmetry suite draws its second set from the same generator
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("radius", [12.0**0.5 / 1.05, 4.0, float("inf"), float("nan")])
+def test_bosshat_sources_reject_a_radius_that_leaves_no_point(radius):
+    with pytest.raises(ValueError, match=f"R={radius!r}"):
+        _sources_bosshat(np.random.default_rng(0), 10, radius)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_reports_equal_those_of_the_loop_samplers(seed, monkeypatch):
+    def surface_reference(g, n, rng_seed):
+        return np.array([(p.x, p.y, p.z) for p in _surface_sample_reference(g, n, rng_seed)])
+
+    want = [r.lines() for r in run_all(seed)]
+    monkeypatch.setattr(validate, "_sources_bosshat", _sources_bosshat_reference)
+    monkeypatch.setattr(validate, "surface_sample", surface_reference)
+    assert [r.lines() for r in run_all(seed)] == want
+
+
+@pytest.mark.parametrize("suite", [suite_bc, suite_symmetry])
+@pytest.mark.parametrize("n_pairs", [0, -3])
+def test_suites_reject_fewer_than_one_pair(suite, n_pairs):
+    with pytest.raises(ValueError, match=f"^n_pairs must be >= 1, not {n_pairs}$"):
+        suite(seed=0, n_pairs=n_pairs)
