@@ -8,12 +8,24 @@ Subcommands
 
 Exit codes: 0 success, 1 failed validation, 2 invalid arguments
 (including NaN or infinite numbers) or an energy that cannot be
-computed (any library error other than a region violation, or a
-floating-point error), 3 region violation (atom on or inside the
+computed (any library error other than a region violation, a
+floating-point error, or a MemoryError such as a scan grid too large
+to allocate), 3 region violation (atom on or inside the
 conductor), 4 unwritable output. A failed scan names the grid value of
-its first failing point. An optional key=value config file can set any
-flag of energy and scan but --config, its keys being the long flags
-without "--"; explicit flags win.
+its first failing point.
+
+Each default is set once, in build_parser: --method closed, --units
+reduced and --rho0 0.0; for scan also --var z0, --points 50, --normalize
+none and a linear grid (--log is a switch, off by default); validate
+runs --suite all at --seed 0.
+
+An optional config file (--config) of key=value lines is read as the
+flags it names: key=value as --key=value, a switch such as log=yes as a
+bare --log and log=no as no flag. A key is a long flag of energy or scan
+without "--", spelled out in full; --config and --help are not keys. The
+config's flags are parsed before the command line's by the same parser,
+with the same checks and messages, so flags win, and the whole file is
+checked, a bad value that a flag overrides included.
 
 `scan --method closed|numeric|oracle` evaluates its grid in vectorised
 calls of up to 256 points, one route call a chunk, and builds the
@@ -66,7 +78,7 @@ from .oracle import extrapolated_energy
 from .units import Mode, UnitSystem
 from .validate import run_all, run_suite
 
-_GEOMETRY_CHOICES = ("plane", "gsphere", "isphere", "bosshat")
+_GEOMETRY_CHOICES = tuple(kind.value for kind in GeometryKind)
 _METHOD_CHOICES = ("closed", "numeric", "oracle")
 _SCAN_METHOD_CHOICES = _METHOD_CHOICES + ("expansion3",)
 
@@ -85,52 +97,29 @@ def _parse_config(path: str) -> dict[str, str]:
     return values
 
 
-def _config_options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
-    """The options of a subcommand that a config file may set, by key:
-    each long flag without its dashes, --config and --help aside."""
-    return {
-        action.option_strings[-1][2:]: action
+def _config_flags(parser: argparse.ArgumentParser, path: str) -> list[str]:
+    """The flags the lines of a config file name, for the subcommand
+    parser: --key=value, or a bare --log for a switch set to a true value
+    and nothing for a false one. An unknown key, such as config, help or
+    an abbreviated flag, is an error."""
+    switches = {
+        action.option_strings[-1][2:]: action.nargs == 0
         for action in parser._actions
         if action.default is not argparse.SUPPRESS and action.dest != "config"
     }
-
-
-def _config_value(action: argparse.Action, key: str, text: str):
-    """What the config line key=text sets the action's destination to."""
-    try:
-        if action.nargs == 0:   # a switch, such as --log
-            return action.const if _parse_bool(text) else None
-        value = (action.type or str)(text)
-    except ValueError as exc:
-        raise ValueError(f"{key}={text}: {exc}") from None
-    if action.choices is not None and value not in action.choices:
-        raise ValueError(f"{key} must be one of {list(action.choices)}, got {text!r}")
-    return value
-
-
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill the options left unset on the command line from the config
-    file; flags win."""
-    if args.config is None:
-        return
-    values = _parse_config(args.config)
-    options = _config_options(args.parser)
-    unknown = set(values) - set(options)
+    values = _parse_config(path)
+    unknown = set(values) - set(switches)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    flags = []
     for key, text in values.items():
-        action = options[key]
-        if getattr(args, action.dest) is None:
-            setattr(args, action.dest, _config_value(action, key, text))
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+        if not switches[key]:
+            flags.append(f"--{key}={text}")
+        elif text.lower() in ("1", "true", "yes", "on"):
+            flags.append(f"--{key}")
+        elif text.lower() not in ("0", "false", "no", "off"):
+            flags.append(f"--{key}={text}")   # the parser rejects it, as it rejects --log=x
+    return flags
 
 
 def _parse_variances(text: str) -> tuple[float, float, float]:
@@ -172,17 +161,13 @@ def _resolve_variances(args: argparse.Namespace, frame: VarianceFrame) -> Dipole
     raise ValueError("one of --variances or --isotropic is required")
 
 
-def _geometry_from_args(kind: str, radius: float) -> GeometryConfig:
-    if kind == "plane":
-        return GeometryConfig.plane()
+def _geometry_from_args(name: str, radius: float) -> GeometryConfig:
+    kind = GeometryKind(name)
+    if kind is GeometryKind.PLANE:
+        return GeometryConfig(kind)
     if radius is None or radius <= 0.0:
-        raise ValueError(f"--radius > 0 is required for geometry {kind!r}")
-    builders = {
-        "gsphere": GeometryConfig.grounded_sphere,
-        "isphere": GeometryConfig.isolated_sphere,
-        "bosshat": GeometryConfig.boss_hat,
-    }
-    return builders[kind](radius)
+        raise ValueError(f"--radius > 0 is required for geometry {name!r}")
+    return GeometryConfig(kind, radius)
 
 
 def _expansion3_energy(
@@ -190,7 +175,7 @@ def _expansion3_energy(
 ) -> EnergyResult:
     if r0.x != 0.0:
         raise ValueError("--method expansion3 is on-axis only (rho0 = 0)")
-    total = isotropic_total(variances)
+    total = isotropic_total(variances, f"expansion3 energies of geometry {g.kind.value!r}")
     if g.kind is GeometryKind.GROUNDED_SPHERE:
         return u_sphere_expansion3(total, r0.z, g.radius, units)
     if g.kind is GeometryKind.BOSS_HAT:
@@ -210,7 +195,7 @@ def _route(method: str):
 def _setup(args: argparse.Namespace) -> tuple[UnitSystem, GeometryConfig, DipoleVariances]:
     """Units, geometry and variances of an energy or scan command, the
     variances read in the frame of the geometry."""
-    units = UnitSystem(Mode(args.units or "reduced"))
+    units = UnitSystem(Mode(args.units))
     g = _geometry_from_args(args.geometry, args.radius)
     frame = (
         VarianceFrame.CYLINDRICAL_LOCAL
@@ -221,14 +206,11 @@ def _setup(args: argparse.Namespace) -> tuple[UnitSystem, GeometryConfig, Dipole
 
 
 def cmd_energy(args: argparse.Namespace) -> int:
-    _merge_config(args)
     _require_finite(args)
     _required(args, "geometry")
     z0 = _required(args, "z0")
-    rho0 = 0.0 if args.rho0 is None else args.rho0
-    method = args.method or "closed"
     units, g, variances = _setup(args)
-    result = _route(method)(g, variances, Position(rho0, 0.0, z0), units=units)
+    result = _route(args.method)(g, variances, Position(args.rho0, 0.0, z0), units=units)
     err = result.err_estimate if math.isfinite(result.err_estimate) else None
     payload = {
         "energy": result.value,
@@ -239,10 +221,10 @@ def cmd_energy(args: argparse.Namespace) -> int:
             "geometry": args.geometry,
             "radius": g.radius,
             "z0": z0,
-            "rho0": rho0,
+            "rho0": args.rho0,
             "variances": [variances.m1, variances.m2, variances.m3],
             "variance_frame": variances.frame.value,
-            "method": method,
+            "method": args.method,
         },
     }
     sys.stdout.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
@@ -310,45 +292,38 @@ def _chunk_energies(
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    _merge_config(args)
     _require_finite(args)
     _required(args, "geometry")
     lo = _required(args, "from_value")
     hi = _required(args, "to_value")
     out = _required(args, "out")
-    var = args.var or "z0"
-    points = args.points if args.points is not None else 50
-    log = bool(args.log)
-    normalize = args.normalize or "none"
-    method = args.method or "closed"
-    rho0_fixed = 0.0 if args.rho0 is None else args.rho0
-    z0_fixed = args.z0
+    var = args.var
 
-    if points < 1:
+    if args.points < 1:
         raise ValueError("--points must be >= 1")
-    if var == "rho0" and z0_fixed is None:
+    if var == "rho0" and args.z0 is None:
         raise ValueError("--z0 is required when sweeping rho0")
 
     units, g, variances = _setup(args)
 
-    if log:
+    if args.log:
         if lo <= 0.0 or hi <= 0.0:
             raise ValueError("--log needs strictly positive --from/--to")
-        grid = np.geomspace(lo, hi, points)
+        grid = np.geomspace(lo, hi, args.points)
     else:
-        grid = np.linspace(lo, hi, points)
+        grid = np.linspace(lo, hi, args.points)
     # stable, so that -0.0 and 0.0 keep their grid order, as sorted() keeps it
     xs = np.sort(grid, kind="stable").tolist()
-    var_column, fixed_column, fixed = (2, 0, rho0_fixed) if var == "z0" else (0, 2, z0_fixed)
+    var_column, fixed_column, fixed = (2, 0, args.rho0) if var == "z0" else (0, 2, args.z0)
     text = ["x,value,err,method\n"]
     for start in range(0, len(xs), _SCAN_CHUNK):
         chunk = xs[start:start + _SCAN_CHUNK]
         positions = np.zeros((len(chunk), 3))
         positions[:, var_column] = chunk
         positions[:, fixed_column] = fixed
-        scales = _normalization(normalize, g, positions, chunk, var)
+        scales = _normalization(args.normalize, g, positions, chunk, var)
         values, errs, method_name = _chunk_energies(
-            method, g, variances, chunk, positions, units, var
+            args.method, g, variances, chunk, positions, units, var
         )
         # inf and NaN, as Python floats give them, rather than an
         # unnamed FloatingPointError: the check below names the point
@@ -374,11 +349,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else 0
+    seed = args.seed
     if seed < 0:
         raise ValueError(f"--seed must be >= 0, not {seed}")
-    suite = args.suite or "all"
-    reports = run_all(seed=seed) if suite == "all" else [run_suite(suite, seed=seed)]
+    reports = run_all(seed=seed) if args.suite == "all" else [run_suite(args.suite, seed=seed)]
     for report in reports:
         for line in report.lines():
             sys.stdout.write(line + "\n")
@@ -389,7 +363,7 @@ def _add_common_energy_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--geometry", choices=_GEOMETRY_CHOICES, default=None)
     sub.add_argument("--radius", type=float, default=None, help="conductor radius R")
     sub.add_argument("--z0", type=float, default=None, help="height above the plane / sphere center")
-    sub.add_argument("--rho0", type=float, default=None, help="axial distance (default 0)")
+    sub.add_argument("--rho0", type=float, default=0.0, help="axial distance (default %(default)s)")
     sub.add_argument(
         "--variances",
         type=_parse_variances,
@@ -400,7 +374,7 @@ def _add_common_energy_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--isotropic", type=float, default=None, metavar="TOTAL", help="isotropic total variance"
     )
-    sub.add_argument("--units", choices=("si", "reduced"), default=None)
+    sub.add_argument("--units", choices=("si", "reduced"), default="reduced")
     sub.add_argument("--config", default=None, help="key=value file mirroring the flags; flags win")
 
 
@@ -421,26 +395,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_energy = sub.add_parser("energy", help="single-point energy as JSON")
     _add_common_energy_flags(p_energy)
-    p_energy.add_argument("--method", choices=_METHOD_CHOICES, default=None)
+    p_energy.add_argument("--method", choices=_METHOD_CHOICES, default="closed")
     p_energy.set_defaults(handler=cmd_energy, parser=p_energy)
 
     p_scan = sub.add_parser("scan", help="sweep z0 or rho0 into a CSV file")
     _add_common_energy_flags(p_scan)
-    p_scan.add_argument("--method", choices=_SCAN_METHOD_CHOICES, default=None)
-    p_scan.add_argument("--var", choices=("z0", "rho0"), default=None)
+    p_scan.add_argument("--method", choices=_SCAN_METHOD_CHOICES, default="closed")
+    p_scan.add_argument("--var", choices=("z0", "rho0"), default="z0")
     p_scan.add_argument("--from", dest="from_value", type=float, default=None)
     p_scan.add_argument("--to", dest="to_value", type=float, default=None)
-    p_scan.add_argument("--points", type=int, default=None)
-    p_scan.add_argument("--log", action="store_const", const=True, default=None)
-    p_scan.add_argument("--normalize", choices=("none", "R3", "a3"), default=None)
+    p_scan.add_argument("--points", type=int, default=50)
+    p_scan.add_argument("--log", action="store_true")
+    p_scan.add_argument("--normalize", choices=("none", "R3", "a3"), default="none")
     p_scan.add_argument("--out", default=None, metavar="FILE")
     p_scan.set_defaults(handler=cmd_scan, parser=p_scan)
 
     p_validate = sub.add_parser("validate", help="run invariant suites")
     p_validate.add_argument(
-        "--suite", choices=("bc", "symmetry", "limits", "threeway", "all"), default=None
+        "--suite", choices=("bc", "symmetry", "limits", "threeway", "all"), default="all"
     )
-    p_validate.add_argument("--seed", type=int, default=None)
+    p_validate.add_argument("--seed", type=int, default=0)
     p_validate.set_defaults(handler=cmd_validate)
     return parser
 
@@ -453,8 +427,14 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = _shared_parser().parse_args(argv)
     try:
+        if getattr(args, "config", None) is not None:
+            # the subcommand, the config's flags, then the command line's:
+            # the last value of a flag wins
+            flags = _config_flags(args.parser, args.config)
+            args = _shared_parser().parse_args(argv[:1] + flags + argv[1:])
         # numpy raises FloatingPointError, an ArithmeticError, where Python
         # floats would raise ZeroDivisionError or carry inf and NaN on
         with np.errstate(divide="raise", over="raise", invalid="raise"):
@@ -462,7 +442,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except RegionError as exc:
         sys.stderr.write(f"vdwsurf: region violation: {exc}\n")
         return 3
-    except (VdwError, ArithmeticError, ValueError, OSError) as exc:
+    except (VdwError, ArithmeticError, ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(f"vdwsurf: {exc}\n")
         return 2
 

@@ -243,14 +243,11 @@ def u_bosshat_corrected(
     return EnergyResult(value, 0.0, Method.CLOSED_FORM, units.mode)
 
 
-def isotropic_total(v: DipoleVariances) -> float:
+def isotropic_total(v: DipoleVariances, forms: str = "closed-form sphere energies") -> float:
     """<d^2> of variances the sphere forms accept: components equal to
-    a relative 1e-9 of the total."""
+    a relative 1e-9 of the total. The error names the forms asked for."""
     if max(v.m1, v.m2, v.m3) - min(v.m1, v.m2, v.m3) > 1e-9 * max(v.total, 1e-300):
-        raise ValueError(
-            "closed-form sphere energies require isotropic variances; "
-            "use the numeric or oracle route"
-        )
+        raise ValueError(f"{forms} require isotropic variances; use the numeric or oracle route")
     return v.total
 
 

@@ -8,7 +8,8 @@ The CLI maps these onto exit codes:
        VdwError (DegenerateSourceError, StepUnderflowError,
        ExtrapolationError, ExpansionWindowError); and every
        ArithmeticError, such as ZeroDivisionError in a closed form or
-       the FloatingPointError numpy raises on overflow
+       the FloatingPointError numpy raises on overflow; and MemoryError,
+       such as a scan grid too large to allocate
     3  RegionError and its subclass ContactError
     4  unwritable output
 

@@ -436,8 +436,28 @@ def test_scan_expansion3_method(tmp_path, capsys):
              "--log", "--from", "1e-300", "--to", "1", "--points", "4"],
             "at z0=1e-300: ",
         ),
+        # MemoryError: 2**59 grid points take 4 EiB, more than any address
+        # space can map, so numpy's allocation fails and nothing is allocated
+        (
+            ["scan", "--geometry", "plane", "--isotropic", "1", "--from", "1", "--to", "2",
+             "--points", str(2**59)],
+            "Unable to allocate",
+        ),
+        # anisotropic variances: the error names the expansion3 form asked for
+        (
+            ["scan", "--geometry", "gsphere", "--radius", "1", "--variances", "1,2,3",
+             "--method", "expansion3", "--from", "1.01", "--to", "1.2", "--points", "3"],
+            "vdwsurf: expansion3 energies of geometry 'gsphere' require isotropic variances",
+        ),
+        (
+            ["scan", "--geometry", "bosshat", "--radius", "1", "--variances", "1,2,3",
+             "--method", "expansion3", "--from", "1.01", "--to", "1.2", "--points", "3"],
+            "vdwsurf: expansion3 energies of geometry 'bosshat' require isotropic variances",
+        ),
     ],
-    ids=["closed-zero-division", "expansion-window", "degenerate-source", "scan-names-x"],
+    ids=["closed-zero-division", "expansion-window", "degenerate-source", "scan-names-x",
+         "unallocatable-grid", "anisotropic-gsphere-expansion3",
+         "anisotropic-bosshat-expansion3"],
 )
 def test_library_and_arithmetic_errors_exit_2(argv, needle, capsys, tmp_path):
     out = tmp_path / "scan.csv"
@@ -714,18 +734,24 @@ def _bad_value_cases():
 
 @pytest.mark.parametrize("command,key,bad", _bad_value_cases())
 def test_a_bad_config_value_exits_2_naming_its_key(command, key, bad, tmp_path):
+    action = dict(_config_options(command))[key]
     values = dict(_BASE[command])
     values[key] = bad
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
-    argv = [command, "--config", str(cfg)]
-    if command == "scan":
-        argv += ["--out", str(tmp_path / "scan.csv")]
-    code, out, err = _run(argv)
+    out_flags = ["--out", str(tmp_path / "scan.csv")] if command == "scan" else []
+    by_config = _run([command, "--config", str(cfg)] + out_flags)
+    code, out, err = by_config
     assert code == 2
     assert out == ""
     assert err.startswith("vdwsurf: ") and err.count("\n") == 1
     assert key in err
+    # the same bad value given as a flag fails the same way
+    flags = [f"--{k}={v}" for k, v in values.items()]
+    assert _run([command] + flags + out_flags) == by_config
+    # a flag that overrides the bad line does not hide it: the whole file is checked
+    good = _flag_argv(action, _values(key, action)[0])
+    assert _run([command, "--config", str(cfg)] + good + out_flags) == by_config
     assert not (tmp_path / "scan.csv").exists()
 
 
@@ -994,6 +1020,33 @@ def test_validate_rejects_a_negative_seed(suite, capsys):
     assert code == 2
     assert out == ""
     assert err == "vdwsurf: --seed must be >= 0, not -1\n"
+
+
+@pytest.mark.parametrize(
+    "required,defaults",
+    [
+        (["energy", "--geometry", "bosshat", "--radius", "1.5", "--z0", "1.7",
+          "--variances", "0.5,1,2"],
+         ["--method", "closed", "--units", "reduced", "--rho0", "0.0"]),
+        (["scan", "--geometry", "bosshat", "--radius", "1.5", "--variances", "0.5,1,2",
+          "--from", "1.6", "--to", "3"],
+         ["--method", "closed", "--units", "reduced", "--rho0", "0.0", "--var", "z0",
+          "--points", "50", "--normalize", "none"]),
+        (["validate"], ["--suite", "all", "--seed", "0"]),
+    ],
+    ids=["energy", "scan", "validate"],
+)
+def test_the_defaults_are_the_documented_ones(required, defaults, tmp_path):
+    def output(name, argv):
+        if argv[0] == "scan":
+            argv = argv + ["--out", str(tmp_path / f"{name}.csv")]
+        code, out, err = _run(argv)
+        assert code == 0, err
+        return out if argv[0] != "scan" else (tmp_path / f"{name}.csv").read_bytes()
+
+    bare = output("bare", required)
+    assert bare
+    assert output("spelled-out", required + defaults) == bare
 
 
 _SCAN_OPTIONS = [(key, action) for key, action in _config_options("scan") if key != "out"]
