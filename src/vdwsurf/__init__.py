@@ -4,8 +4,9 @@ functions.
 
 Geometries: half-space plane, grounded sphere, isolated neutral sphere,
 and a grounded hemispherical boss on a plane. Three independent routes
-to every energy: closed forms, numerical mixed derivatives of the
-homogeneous Green function, and a finite-dipole extrapolation oracle.
+to every energy: closed forms, exact mixed derivatives of the
+homogeneous Green function's image sum, and a finite-dipole
+extrapolation oracle.
 
 The package namespace holds the documented API: the closed forms, the
 three routes that take a Position or an (N, 3) array of points
@@ -33,7 +34,6 @@ from .errors import (
     ExpansionWindowError,
     ExtrapolationError,
     RegionError,
-    StepUnderflowError,
     VdwError,
 )
 from .evaluator import energy_numeric
@@ -68,7 +68,6 @@ __all__ = [
     "Mode",
     "Position",
     "RegionError",
-    "StepUnderflowError",
     "SuiteReport",
     "UnitSystem",
     "VarianceFrame",

@@ -87,7 +87,7 @@ def u_bosshat(
     (identical on the axis).
     """
     xi = xi_factors(radius, rho0, z0)
-    value = _u_from_xi(variances, z0, xi, units)
+    value = _u_from_xi((variances.m1, variances.m2, variances.m3), z0, xi, units)
     return EnergyResult(value, 0.0, Method.CLOSED_FORM, units.mode)
 
 

@@ -232,7 +232,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
 
 
 # Grid points per vectorised route call: scans of ordinary size take one
-# call, and the stencil arrays of a long scan stay a few MB.
+# call, and the sample arrays of a long scan stay a few MB.
 _SCAN_CHUNK = 256
 
 

@@ -37,6 +37,7 @@ from .geometry import (
     Position,
     VarianceFrame,
     as_points,
+    local_axes,
     variances_of,
 )
 from .units import UnitSystem
@@ -221,11 +222,10 @@ def xi_factors_corrected(radius: float, rho0: float, z0: float) -> BossHatXi:
     return BossHatXi(xi_rho, xi_phi, xi_z)
 
 
-def _u_from_xi(
-    variances: DipoleVariances, z0: float, xi: BossHatXi, units: UnitSystem
-) -> float:
-    v = variances
-    return -(v.m1 * xi.xi_rho + v.m2 * xi.xi_phi + v.m3 * xi.xi_z) / (
+def _u_from_xi(m: tuple, z0: float, xi: BossHatXi, units: UnitSystem) -> float:
+    """The energy of (rho, phi, z) variances m, floats or arrays."""
+    m1, m2, m3 = m
+    return -(m1 * xi.xi_rho + m2 * xi.xi_phi + m3 * xi.xi_z) / (
         16.0 * units.four_pi_epsilon0 * _power(z0, 3)
     )
 
@@ -239,7 +239,7 @@ def u_bosshat_corrected(
 ) -> EnergyResult:
     """Boss-hat dispersion energy from the corrected angular factors."""
     xi = xi_factors_corrected(radius, rho0, z0)
-    value = _u_from_xi(variances, z0, xi, units)
+    value = _u_from_xi((variances.m1, variances.m2, variances.m3), z0, xi, units)
     return EnergyResult(value, 0.0, Method.CLOSED_FORM, units.mode)
 
 
@@ -262,8 +262,11 @@ def energy_closed(
     r0 is a Position, giving a float value, or an (N, 3) array of
     positions, giving (N,) values equal to the per-point ones bit for
     bit; err_estimate is 0.  The spheres take isotropic variances only,
-    at the centre distance of r0.  Where a power of a distance
-    overflows, the OverflowError names the first such point.
+    at the centre distance of r0.  The boss-hat form reads (rho, phi, z)
+    variances: Cartesian ones are rotated to the azimuth of each point,
+    (m1 cos^2 + m2 sin^2, m1 sin^2 + m2 cos^2, m3), the rho-phi
+    covariance dropping out by mirror symmetry.  Where a power of a
+    distance overflows, the OverflowError names the first such point.
     """
     v = variances_of(atom)
     single = isinstance(r0, Position)
@@ -271,6 +274,12 @@ def energy_closed(
     try:
         if g.kind is GeometryKind.PLANE:
             result = u_plane(v, z, units)
+        elif g.kind is GeometryKind.BOSS_HAT and v.frame is VarianceFrame.CARTESIAN:
+            e_rho = np.asarray(local_axes(VarianceFrame.CYLINDRICAL_LOCAL, r0))[..., 0, :]
+            c2, s2 = e_rho[..., 0] ** 2, e_rho[..., 1] ** 2
+            m = (v.m1 * c2 + v.m2 * s2, v.m1 * s2 + v.m2 * c2, v.m3)
+            xi = xi_factors_corrected(g.radius, _hypot(x, y), z)
+            result = EnergyResult(_u_from_xi(m, z, xi, units), 0.0, Method.CLOSED_FORM, units.mode)
         elif g.kind is GeometryKind.BOSS_HAT:
             result = u_bosshat_corrected(v, _hypot(x, y), z, g.radius, units)
         else:
@@ -285,8 +294,9 @@ def energy_closed(
         for point in zip(x.tolist(), y.tolist(), z.tolist()):
             energy_closed(g, v, Position(*point), units)   # raises at the first such point
         raise
-    zeros = 0.0 if single else np.zeros_like(result.value)
-    return EnergyResult(result.value, zeros, result.method, result.units)
+    if single:
+        return EnergyResult(float(result.value), 0.0, result.method, result.units)
+    return EnergyResult(result.value, np.zeros_like(result.value), result.method, result.units)
 
 
 def _expansion3(

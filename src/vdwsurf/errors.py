@@ -5,11 +5,11 @@ The CLI maps these onto exit codes:
     0  success
     1  validation failed (a `validate` check reported FAIL)
     2  invalid arguments, including NaN or infinite numbers; every other
-       VdwError (DegenerateSourceError, StepUnderflowError,
-       ExtrapolationError, ExpansionWindowError); and every
-       ArithmeticError, such as ZeroDivisionError in a closed form or
-       the FloatingPointError numpy raises on overflow; and MemoryError,
-       such as a scan grid too large to allocate
+       VdwError (DegenerateSourceError, ExtrapolationError,
+       ExpansionWindowError); every ArithmeticError, such as
+       ZeroDivisionError in a closed form or the FloatingPointError
+       numpy raises on overflow; and MemoryError, such as a scan grid
+       too large to allocate
     3  RegionError and its subclass ContactError
     4  unwritable output
 
@@ -32,10 +32,6 @@ class ContactError(RegionError):
 
 class DegenerateSourceError(VdwError):
     """Field point coincides with an image-charge location."""
-
-
-class StepUnderflowError(VdwError):
-    """Finite-difference step fell below floating-point resolution."""
 
 
 class ExtrapolationError(VdwError):

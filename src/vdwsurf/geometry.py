@@ -164,22 +164,23 @@ def local_axes(
     """Unit vectors the three variance components refer to at position p.
 
     For an (N, 3) array of points the axes come as an (N, 3, 3) array,
-    axes[i, m] being the m-th unit vector at point i: the identity,
-    broadcast and read-only, in the Cartesian frame, and rows built
-    with the scalar math functions, equal to the Position result, in
-    the cylindrical frame.
+    axes[i, m] being the m-th unit vector at point i: the identity in
+    the Cartesian frame.  The cylindrical axes are built from
+    (cos phi, sin phi) = (x, y)/rho, (1, 0) on the axis, by the same
+    array operations for a Position and an array.
     """
-    if not isinstance(p, Position):
-        points = as_points(p).reshape(-1, 3)
-        if frame is VarianceFrame.CARTESIAN:
-            return np.broadcast_to(np.eye(3), (len(points), 3, 3))
-        rows = [local_axes(frame, Position(*row)) for row in points.tolist()]
-        return np.array(rows).reshape(-1, 3, 3)
+    points = as_points(p).reshape(-1, 3)
+    axes = np.repeat(np.eye(3)[None], len(points), axis=0)
     if frame is VarianceFrame.CYLINDRICAL_LOCAL:
-        ph = p.phi
-        c, s = math.cos(ph), math.sin(ph)
-        return ((c, s, 0.0), (-s, c, 0.0), (0.0, 0.0, 1.0))
-    return ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        rho = np.hypot(points[:, 0], points[:, 1])
+        on_axis = rho == 0.0
+        rho = np.where(on_axis, 1.0, rho)
+        c = np.where(on_axis, 1.0, points[:, 0] / rho)
+        s = np.where(on_axis, 0.0, points[:, 1] / rho)
+        axes[:, 0, 0], axes[:, 0, 1], axes[:, 1, 0], axes[:, 1, 1] = c, s, -s, c
+    if isinstance(p, Position):
+        return tuple(tuple(row) for row in axes[0].tolist())
+    return axes
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,11 @@ R/(4*pi*|r|*|r'|) that restores charge neutrality on the sphere.
 An image system is plain data: a tuple of Image records, each a sign
 and one of three kinds, with the radius R taken from the geometry.
 
-  mirror           weight sign*1,        at (x', y', -z')
-  kelvin           weight sign*R/|r'|,   at (R^2/|r'|^2) r'
-  mirrored kelvin  weight sign*R/|r'|,   the kelvin image of (x', y', -z')
+  mirror           weight sign*1,        at P r' = (x', y', -z'),   J = P
+  kelvin           weight sign*R/|r'|,   at f r', f = R^2/|r'|^2,  J = f (I - 2 r'r'^T/|r'|^2)
+  mirrored kelvin  weight sign*R/|r'|,   at P f r',                J = P times the kelvin J
+
+with J the Jacobian of the location in r'.
 
   plane            one mirror image, sign -1
   grounded sphere  one kelvin image, sign -1
@@ -31,7 +33,9 @@ and one of three kinds, with the radius R taken from the geometry.
 
 g_h evaluates the sum with operators and numpy ufuncs only, for one
 pair of Positions or for arrays of point pairs of shape (..., 3), so
-one call serves a whole batch.
+one call serves a whole batch.  image_records gives the same images as
+arrays together with their first derivatives in the source point, from
+which the numeric route and bc_residual differentiate G_H exactly.
 """
 
 from __future__ import annotations
@@ -92,6 +96,17 @@ def build_green(g: GeometryConfig) -> HomogeneousGreen:
     return HomogeneousGreen(_IMAGE_SYSTEMS[g.kind], g)
 
 
+def _reject_coincident(r: np.ndarray, degenerate) -> None:
+    """Raise DegenerateSourceError naming the first field point of r,
+    shape (..., 3), in C order over the shape of degenerate, where a
+    field point is within _DEGENERATE_RTOL * max(|r|, |loc|) of an
+    image location loc."""
+    if np.any(degenerate):
+        first = np.argmax(np.ravel(degenerate))
+        fx, fy, fz = np.broadcast_to(r, np.shape(degenerate) + (3,)).reshape(-1, 3)[first].tolist()
+        raise DegenerateSourceError(f"field point ({fx}, {fy}, {fz}) coincides with an image location")
+
+
 def g_h(green: HomogeneousGreen, r, r_prime):
     """Induced Green function G_H(r, r').
 
@@ -135,12 +150,7 @@ def g_h(green: HomogeneousGreen, r, r_prime):
         loc_norm = np.sqrt(loc[0] * loc[0] + loc[1] * loc[1] + loc[2] * loc[2])
         degenerate = degenerate | (dist <= _DEGENERATE_RTOL * np.maximum(r_norm, loc_norm))
         terms.append((weight, dist))
-    if np.any(degenerate):
-        first = np.argmax(np.ravel(degenerate))
-        fx, fy, fz = np.broadcast_to(r, np.shape(degenerate) + (3,)).reshape(-1, 3)[first].tolist()
-        raise DegenerateSourceError(
-            f"field point ({fx}, {fy}, {fz}) coincides with an image location"
-        )
+    _reject_coincident(r, degenerate)
 
     total = 0.0
     for weight, dist in terms:
@@ -175,11 +185,47 @@ def surface_deviation(g: GeometryConfig, p):
 _SURFACE_MEMBERSHIP_RTOL = 1e-9
 
 
-def _direct(r: np.ndarray, r_prime: np.ndarray) -> np.ndarray:
-    """Free-space part 1/(4*pi*|r - r'|) of the Green function."""
-    d = r - r_prime
-    dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
-    return 1.0 / (FOUR_PI * np.sqrt(dx * dx + dy * dy + dz * dz))
+def image_records(green: HomogeneousGreen, rp: np.ndarray, e: np.ndarray) -> tuple:
+    """The images of G_H at source points rp, with their derivatives in rp
+    along directions e: (w, grad_w, loc, j_e, kelvin), so that
+    G_H(r, r') = (1/4*pi) * sum_k w[k] / |r - loc[:, k]|.
+
+    Vectors hold their components first, so that every operation runs
+    along the long point axes: rp and e have shape (3, ...) and
+    broadcast together.  The images stack along the axis after the
+    components: w[k] has the shape of rp[0], grad_w[:, k] (the gradient
+    of w) and loc[:, k] that of rp, and j_e[:, k] = J e the broadcast
+    shape.  kelvin[k] is True where loc is an inversion, whose distance
+    to r cancels near the sphere.  The isolated sphere's neutrality term
+    comes last: a charge R/|r'| at the centre, which does not move.
+    """
+    neutral = green.geometry.kind is GeometryKind.ISOLATED_SPHERE
+    count = len(green.images) + neutral
+    w = np.empty((count,) + rp.shape[1:])
+    grad_w = np.zeros((3, count) + rp.shape[1:])
+    loc = np.zeros((3, count) + rp.shape[1:])
+    j_e = np.zeros((3, count) + np.broadcast(rp, e).shape[1:])
+    if green.geometry.kind is not GeometryKind.PLANE:   # Kelvin images
+        radius = green.geometry.radius
+        n2 = rp[0] * rp[0] + rp[1] * rp[1] + rp[2] * rp[2]
+        kelvin_w = radius / np.sqrt(n2)
+        kelvin_grad = -(kelvin_w / n2) * rp
+        f = radius * radius / n2
+        kelvin_loc = f * rp
+        kelvin_j_e = f * (e - 2.0 * (rp[0] * e[0] + rp[1] * e[1] + rp[2] * e[2]) / n2 * rp)
+    for k, img in enumerate(green.images):
+        if img.kind is ImageKind.MIRROR:
+            w[k], loc[:, k], j_e[:, k] = img.sign, rp, e
+        else:
+            w[k], grad_w[:, k] = img.sign * kelvin_w, img.sign * kelvin_grad
+            loc[:, k], j_e[:, k] = kelvin_loc, kelvin_j_e
+        if img.kind is not ImageKind.KELVIN:   # reflected in z = 0
+            loc[2, k] = -loc[2, k]
+            j_e[2, k] = -j_e[2, k]
+    if neutral:
+        w[-1], grad_w[:, -1] = kelvin_w, kelvin_grad
+    kelvin = np.array([img.kind is not ImageKind.MIRROR for img in green.images] + [False] * neutral)
+    return w, grad_w, loc, j_e, kelvin
 
 
 def bc_residual(green: HomogeneousGreen, g: GeometryConfig, r_surface, r_prime):
@@ -195,8 +241,9 @@ def bc_residual(green: HomogeneousGreen, g: GeometryConfig, r_surface, r_prime):
     Isolated sphere: the surface holds the full Green function at the
     constant 1/(4*pi*|r'|), so its gradient with respect to the source
     point equals -r'/(4*pi*|r'|^3).  The residual is the max-norm of
-    (grad' G + r'/(4*pi*|r'|^3)), with the gradient taken by central
-    differences componentwise.
+    (grad' G + r'/(4*pi*|r'|^3)), with the gradient taken exactly from
+    the image records: grad'[w/|u|] = grad_w/|u| + w J^T u/|u|^3 with
+    u = r_s - loc, plus (r_s - r')/|r_s - r'|^3 from the direct term.
     """
     scalar = isinstance(r_surface, Position) and isinstance(r_prime, Position)
     rs = as_points(r_surface)
@@ -206,23 +253,24 @@ def bc_residual(green: HomogeneousGreen, g: GeometryConfig, r_surface, r_prime):
         raise ValueError("r_surface does not lie on the conductor surface")
 
     if g.kind is not GeometryKind.ISOLATED_SPHERE:
-        residual = _direct(rs, rp) + g_h(green, rs, rp)
+        residual = 1.0 / (FOUR_PI * point_norms(rs - rp)) + g_h(green, rs, rp)
         return float(residual) if scalar else residual
 
-    rp_norm = point_norms(rp)
-    h = 1e-6 * np.maximum(rp_norm, g.radius)
-    # |r'|^3 through Python's ** (the C library pow), not numpy's power,
-    # which may round differently in the last bit.
-    rn3 = np.array([n**3 for n in np.ravel(rp_norm).tolist()]).reshape(np.shape(rp_norm))
-    target = -rp / (FOUR_PI * rn3)[..., None]
-    # Sources shifted by +h and -h along each axis: shape (..., 2, 3, 3),
-    # sign first, then axis, then component.
-    steps = h[..., None, None] * np.eye(3)
-    shifted = np.stack([rp[..., None, :] + steps, rp[..., None, :] - steps], axis=-3)
-    surface = rs[..., None, None, :]
-    full = _direct(surface, shifted) + g_h(green, surface, shifted)
-    grad = (full[..., 0, :] - full[..., 1, :]) / (2.0 * h[..., None])
-    residual = np.max(np.abs(grad - target), axis=-1)
+    # components first, as image_records takes them
+    rs, rp = (np.moveaxis(a, -1, 0) for a in np.broadcast_arrays(rs, rp))
+    d = rs - rp
+    d2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+    grad = d / (d2 * np.sqrt(d2))
+    # the records along the axes e_j, so that component j of J^T u is u . (J e_j)
+    axes = np.eye(3).reshape((3, 3) + (1,) * (rp.ndim - 1))
+    w, grad_w, loc, j_e, _ = image_records(green, rp[:, None], axes)
+    u = rs[:, None] - loc[:, :, 0]                                  # (3, K, ...)
+    dist = np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
+    j_t_u = j_e[0] * u[0, :, None] + j_e[1] * u[1, :, None] + j_e[2] * u[2, :, None]
+    grad = grad + np.sum(grad_w[:, :, 0] / dist, axis=1)
+    grad = grad + np.sum(w * j_t_u / (dist * dist * dist)[:, None], axis=0)
+    n2 = rp[0] * rp[0] + rp[1] * rp[1] + rp[2] * rp[2]
+    residual = np.max(np.abs(grad + rp / (n2 * np.sqrt(n2))), axis=0) / FOUR_PI
     return float(residual) if scalar else residual
 
 

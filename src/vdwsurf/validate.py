@@ -125,8 +125,8 @@ def suite_bc(seed: int = 0, n_pairs: int = 1000) -> SuiteReport:
 
     Grounded geometries: the full Green function must vanish on S.
     Isolated sphere: the source-gradient of the full Green function on
-    S must equal -r'/(4*pi*|r'|^3); the residual is finite-difference
-    limited, hence the looser tolerance.
+    S must equal -r'/(4*pi*|r'|^3), the gradient taken exactly from the
+    image records; this check keeps the looser tolerance 1e-9.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, not {n_pairs!r}")

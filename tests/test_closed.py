@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from vdwsurf.errors import ContactError, ExpansionWindowError, RegionError
 from vdwsurf._errata import u_bosshat, xi_factors
 from vdwsurf.evaluator import energy_numeric
+from vdwsurf.oracle import extrapolated_energy
 from vdwsurf.closed import (
     BOSSHAT_EXPANSION_C3,
     SPHERE_EXPANSION_C3,
@@ -284,6 +285,30 @@ def test_energy_closed_batch_is_bit_equal_to_the_scalar_forms(region_grid):
         assert type(single.value) is float and type(single.err_estimate) is float
         assert value.hex() == want.hex() == single.value.hex(), point
     assert failing <= (30 if g.kind is GeometryKind.BOSS_HAT else 0)
+
+
+@pytest.mark.parametrize("frame", list(VarianceFrame), ids=["cartesian", "cylindrical"])
+def test_energy_closed_bosshat_reads_the_variance_frame(frame):
+    # The boss-hat form reads (rho, phi, z) variances; Cartesian ones
+    # are rotated to the azimuth of each point.  Unrotated, the first
+    # point gave -1.5267 against the routes' -1.7815.
+    g = GeometryConfig.boss_hat(1.0)
+    v = DipoleVariances(0.3, 1.1, 0.6, frame)
+    rng = np.random.default_rng(31)
+    rho, z, phi = rng.uniform(0.0, 2.5, 80), rng.uniform(0.2, 2.0, 80), rng.uniform(-3.2, 3.2, 80)
+    beside = np.hypot(rho, z) > 1.1
+    points = np.concatenate([
+        [(0.0, 1.5, 0.5), (0.0, 0.0, 1.5), (-1.5, 0.0, 0.5)],
+        np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])[beside],
+    ])
+    closed = energy_closed(g, v, points).value
+    oracle = extrapolated_energy(g, v, points).value
+    np.testing.assert_allclose(closed, oracle, rtol=1e-7, atol=0.0)
+    for point, value in zip(points.tolist(), closed.tolist()):
+        single = energy_closed(g, v, Position(*point)).value
+        assert type(single) is float and single == value
+    if frame is VarianceFrame.CARTESIAN:
+        assert closed[0] == pytest.approx(-1.7815215924, rel=1e-9)
 
 
 def _outside_points(g):

@@ -1,12 +1,15 @@
 import math
-import sys
 
+try:
+    import mpmath
+except ImportError:   # the referee tests skip
+    mpmath = None
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vdwsurf.errors import RegionError, StepUnderflowError
+from vdwsurf.errors import RegionError
 from vdwsurf.evaluator import energy_numeric
 from vdwsurf.geometry import (
     DipoleVariances,
@@ -30,126 +33,184 @@ ISO = DipoleVariances.isotropic(1.0)
 ISO_CYL = DipoleVariances.isotropic(1.0, VarianceFrame.CYLINDRICAL_LOCAL)
 
 
-def _richardson_reference(green, points, directions, base_step=1e-2, levels=3):
-    """The general Richardson tableau the numeric route used when its
-    step and level count were settable, kept as the reference of the
-    fixed three-level schedule: mixed second derivatives at (N, 3)
-    points along (N, A, 3) unit directions, each (N, A), as the value
-    and its last increment."""
-    dist = surface_distance(green.geometry, points)
-    if not np.all(dist > 0.0):
-        raise RegionError("r0 must lie strictly inside the physical region")
-    norm = point_norms(points)
-    scale = np.maximum(dist, 0.01 * norm)
-    h0 = base_step * scale
-    h0 = np.where(h0 >= dist, 0.45 * dist, h0)
-    if np.any(h0 / 2.0 ** (levels - 1) < 1e3 * sys.float_info.epsilon * norm):
-        raise StepUnderflowError(
-            "finite-difference step below floating-point resolution"
-        )
-    steps = [h0]
-    for _ in range(levels - 1):
-        steps.append(steps[-1] * 0.5)
-    h = np.stack(steps, axis=-1)[:, None, :]
-    offset = h[..., None] * directions[:, :, None, :]
-    center = points[:, None, None, :]
-    plus = center + offset
-    minus = center - offset
-    values = g_h(
-        green,
-        np.stack([plus, plus, minus, minus], axis=-2),
-        np.stack([plus, minus, plus, minus], axis=-2),
-    )
-    stencil = (
-        values[..., 0] - values[..., 1] - values[..., 2] + values[..., 3]
-    ) / (4.0 * h * h)
-    row_prev = []
-    diag_prev = None
-    for i in range(levels):
-        row = [stencil[..., i]]
-        for j in range(1, i + 1):
-            factor = 4.0**j
-            row.append(row[j - 1] + (row[j - 1] - row_prev[j - 1]) / (factor - 1.0))
-        if i == levels - 2:
-            diag_prev = row[-1]
-        row_prev = row
-    value = row_prev[-1]
-    return value, np.abs(value - diag_prev)
+GEOMETRIES = [
+    GeometryConfig.plane(),
+    GeometryConfig.grounded_sphere(1.3),
+    GeometryConfig.isolated_sphere(0.7),
+    GeometryConfig.boss_hat(1.0),
+]
+GEOMETRY_IDS = ["plane", "gsphere", "isphere", "bosshat"]
+
+# Near-contact gaps, in units of R (of 1 for the plane).
+NEAR_GAPS = 10.0 ** -np.arange(2.0, 13.0)
 
 
-def _reference_energy(g, v, points):
-    """energy_numeric summed over the axes of _richardson_reference, as
-    the bytes of value and err_estimate."""
-    weights = (v.m1, v.m2, v.m3)
-    active = [m for m in range(3) if weights[m] != 0.0]
-    d, e = _richardson_reference(
-        build_green(g), points, local_axes(v.frame, points)[:, active]
-    )
-    value = np.zeros(len(points))
-    err = np.zeros(len(points))
-    for k, m in enumerate(active):
-        value = value + weights[m] * d[:, k]
-        err = err + weights[m] * np.abs(e[:, k])
-    return (2.0 * math.pi * value).tobytes(), (2.0 * math.pi * err).tobytes()
+def _referee_g_h(g, r, rp):
+    """G_H(r, r') of mpmath vectors, summed from the image definitions:
+    mirror -1/|r - Pr'|, Kelvin -(R/|r'|)/|r - R^2 r'/|r'|^2|, mirrored
+    Kelvin +(R/|r'|)/|r - P R^2 r'/|r'|^2|, and the isolated sphere's
+    neutrality term R/(|r| |r'|), over 4 pi."""
+    def dist(a, b):
+        return mpmath.sqrt(sum((ai - bi) ** 2 for ai, bi in zip(a, b)))
 
+    def flip(a):
+        return (a[0], a[1], -a[2])
 
-def _route_bytes(g, v, points):
-    result = energy_numeric(g, v, points)
-    return result.value.tobytes(), result.err_estimate.tobytes()
-
-
-def test_fixed_schedule_equals_richardson_reference_on_grid(region_grid):
-    g, variances, points = region_grid
-    assert _route_bytes(g, variances, points) == _reference_energy(g, variances, points)
-
-
-def _random_points(g, rng, n):
-    """n points at gaps R*10^U(-9, 0) from the surface (R = 1 for the
-    plane), in every direction; for the boss hat half of them lie above
-    the plane, beside or over the boss."""
-    radius = g.radius or 1.0
-    gap = radius * 10.0 ** rng.uniform(-9.0, 0.0, n)
     if g.kind is GeometryKind.PLANE:
-        points = rng.uniform(-2.0, 2.0, (n, 3))
-        points[:, 2] = gap
+        return -1 / dist(r, flip(rp)) / (4 * mpmath.pi)
+    radius = mpmath.mpf(g.radius)
+    n2 = sum(c * c for c in rp)
+    weight = radius / mpmath.sqrt(n2)
+    kelvin = tuple(radius * radius / n2 * c for c in rp)
+    total = -weight / dist(r, kelvin)
+    if g.kind is GeometryKind.ISOLATED_SPHERE:
+        total += weight / mpmath.sqrt(sum(c * c for c in r))
+    if g.kind is GeometryKind.BOSS_HAT:
+        total += weight / dist(r, flip(kelvin)) - 1 / dist(r, flip(rp))
+    return total / (4 * mpmath.pi)
+
+
+def _referee_energy(g, v, point):
+    """2 pi sum_m <d_m^2> d_m d'_m G_H at 50 digits (reduced units), the
+    mixed derivatives by mpmath.diff along the exact local axes."""
+    with mpmath.workdps(50):
+        p = [mpmath.mpf(c) for c in point]
+        if v.frame is VarianceFrame.CARTESIAN:
+            axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        else:
+            rho = mpmath.sqrt(p[0] ** 2 + p[1] ** 2)
+            c, s = (p[0] / rho, p[1] / rho) if rho else (1, 0)
+            axes = [(c, s, 0), (-s, c, 0), (0, 0, 1)]
+        total = mpmath.mpf(0)
+        for m, e in zip((v.m1, v.m2, v.m3), axes):
+            if m == 0.0:
+                continue
+
+            def along(a, b, e=e):
+                r = [pi + a * ei for pi, ei in zip(p, e)]
+                rp = [pi + b * ei for pi, ei in zip(p, e)]
+                return _referee_g_h(g, r, rp)
+
+            total += mpmath.mpf(m) * mpmath.diff(along, (0, 0), (1, 1))
+        return 2 * mpmath.pi * total
+
+
+def _assert_covered_by_err(g, v, points, bulk=False):
+    """|U - referee| <= err_estimate at every point, and in the bulk
+    also <= 1e-13 |U|."""
+    pytest.importorskip("mpmath")
+    got = energy_numeric(g, v, points)
+    assert np.all(np.isfinite(got.value)) and np.all(np.isfinite(got.err_estimate))
+    for p, value, err in zip(points.tolist(), got.value.tolist(), got.err_estimate.tolist()):
+        with mpmath.workdps(50):
+            miss = abs(mpmath.mpf(value) - _referee_energy(g, v, p))
+            assert miss <= err, (p, value, err, miss)
+            if bulk:
+                assert miss <= 1e-13 * abs(value), (p, value, miss)
+
+
+def _points_at_gaps(g, rng, gaps):
+    """One point at each gap (times R, of 1 for the plane) from the
+    surface, in a random direction: above the plane, around the
+    spheres, above the boss hat's dome."""
+    radius = g.radius or 1.0
+    if g.kind is GeometryKind.PLANE:
+        points = rng.uniform(-2.0, 2.0, (len(gaps), 3))
+        points[:, 2] = gaps
         return points
-    u = rng.normal(size=(n, 3))
+    u = rng.normal(size=(len(gaps), 3))
     u /= np.linalg.norm(u, axis=1)[:, None]
     if g.kind is GeometryKind.BOSS_HAT:
         u[:, 2] = np.abs(u[:, 2])
-        points = u * (radius + gap)[:, None]
-        above = rng.uniform(-3.0 * radius, 3.0 * radius, (n, 3))
-        above[:, 2] = gap
-        beside = np.hypot(above[:, 0], above[:, 1]) > radius
-        pick = (rng.random(n) < 0.5) & beside
-        points[pick] = above[pick]
-        return points
-    return u * (radius + gap)[:, None]
+    return u * (radius * (1.0 + gaps))[:, None]
 
 
-@pytest.mark.parametrize(
-    "g",
-    [
-        GeometryConfig.plane(),
-        GeometryConfig.grounded_sphere(1.3),
-        GeometryConfig.isolated_sphere(0.7),
-        GeometryConfig.boss_hat(1.0),
-    ],
-    ids=["plane", "gsphere", "isphere", "bosshat"],
-)
-def test_fixed_schedule_equals_richardson_reference_on_random_points(g):
-    # 4 geometries x 3 variance sets x 167 points: 2,004 seeded points,
-    # with zero-weight axes in two of the sets
+def _rim_points(radius, rng, gaps):
+    """Points beside the boss hat's rim, at rho = R (1 + gap) and
+    z = R gap, at random azimuths."""
+    phi = rng.uniform(-math.pi, math.pi, len(gaps))
+    rho = radius * (1.0 + gaps)
+    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), radius * gaps])
+
+
+def _bulk_and_near_points(g, rng):
+    """12 bulk points at gaps R*10^U(-2, 0.5), and two points at each
+    gap 1e-2 ... 1e-12 R, plus as many beside the rim of the boss hat."""
+    bulk = _points_at_gaps(g, rng, 10.0 ** rng.uniform(-2.0, 0.5, 12))
+    near = _points_at_gaps(g, rng, np.repeat(NEAR_GAPS, 2))
+    if g.kind is GeometryKind.BOSS_HAT:
+        near = np.concatenate([near, _rim_points(g.radius, rng, np.repeat(NEAR_GAPS, 2))])
+    return bulk, near
+
+
+@pytest.mark.parametrize("g", GEOMETRIES, ids=GEOMETRY_IDS)
+def test_numeric_within_err_of_referee_on_random_points(g):
     rng = np.random.default_rng(20261018)
-    frame = (
-        VarianceFrame.CYLINDRICAL_LOCAL
-        if g.kind is GeometryKind.BOSS_HAT
-        else VarianceFrame.CARTESIAN
+    bulk, near = _bulk_and_near_points(g, rng)
+    for frame in VarianceFrame:
+        for weights in ((0.5, 1.0, 2.0), (0.0, 0.0, 1.0), (1.0, 0.3, 0.0)):
+            v = DipoleVariances(*weights, frame)
+            _assert_covered_by_err(g, v, bulk, bulk=True)
+            _assert_covered_by_err(g, v, near)
+
+
+@pytest.mark.parametrize("frame", list(VarianceFrame), ids=["cartesian", "cylindrical"])
+def test_numeric_within_err_of_referee_on_grid(region_grid, frame):
+    g, variances, points = region_grid
+    v = DipoleVariances(variances.m1, variances.m2, variances.m3, frame)
+    _assert_covered_by_err(g, v, points)
+
+
+def test_numeric_is_finite_and_covered_near_contact():
+    # A plane point whose gap 1.2145e-4 is 1e-4 of its distance from the
+    # origin, and a grounded-sphere gap of 1e-12: no finite-difference
+    # step fits such gaps above rounding noise.
+    plane = GeometryConfig.plane()
+    _assert_covered_by_err(plane, ISO, np.array([(1.2144, 0.0, 1.2145e-4)]))
+    got = energy_numeric(plane, ISO, Position(1.2144, 0.0, 1.2145e-4))
+    assert got.value == pytest.approx(u_plane(ISO, 1.2145e-4).value, rel=1e-15)
+    sphere = GeometryConfig.grounded_sphere(1.0)
+    for v in (Z_ONLY, ISO):
+        _assert_covered_by_err(sphere, v, np.array([(0.0, 0.0, 2.0), (0.0, 0.0, 1.0 + 1e-12)]))
+
+
+def _richardson_reference(g, v, points, base_step=1e-2):
+    """A finite-difference reference: the energy by the 4-point stencil at
+    the steps h0, h0/2 and h0/4, h0 = base_step * max(distance to the
+    surface, 0.01 |r0|), and three levels of Richardson extrapolation,
+    with its last Richardson increment as the error; good to 1e-10 to
+    1e-7 in the bulk."""
+    weights = (v.m1, v.m2, v.m3)
+    active = [m for m in range(3) if weights[m] != 0.0]
+    directions = local_axes(v.frame, points)[:, active]
+    h0 = base_step * np.maximum(surface_distance(g, points), 0.01 * point_norms(points))
+    h = np.stack([h0, h0 / 2.0, h0 / 4.0], axis=-1)[:, None, :]
+    offset = h[..., None] * directions[:, :, None, :]
+    plus = points[:, None, None, :] + offset
+    minus = points[:, None, None, :] - offset
+    values = g_h(
+        build_green(g),
+        np.stack([plus, plus, minus, minus], axis=-2),
+        np.stack([plus, minus, plus, minus], axis=-2),
     )
-    for weights in ((0.5, 1.0, 2.0), (0.0, 0.0, 1.0), (1.0, 0.3, 0.0)):
-        v = DipoleVariances(*weights, frame)
-        points = _random_points(g, rng, 167)
-        assert _route_bytes(g, v, points) == _reference_energy(g, v, points)
+    s = (values[..., 0] - values[..., 1] - values[..., 2] + values[..., 3]) / (4.0 * h * h)
+    r1 = s[..., 1] + (s[..., 1] - s[..., 0]) / 3.0
+    r2 = s[..., 2] + (s[..., 2] - s[..., 1]) / 3.0
+    d = r2 + (r2 - r1) / 15.0
+    value = 2.0 * math.pi * sum(weights[m] * d[:, k] for k, m in enumerate(active))
+    err = 2.0 * math.pi * sum(weights[m] * np.abs(d - r1)[:, k] for k, m in enumerate(active))
+    return value, err
+
+
+@pytest.mark.parametrize("g", GEOMETRIES, ids=GEOMETRY_IDS)
+def test_numeric_agrees_with_richardson_reference_in_the_bulk(g):
+    rng = np.random.default_rng(7)
+    points = _points_at_gaps(g, rng, 10.0 ** rng.uniform(-2.0, 0.5, 200))
+    for frame in VarianceFrame:
+        v = DipoleVariances(0.5, 1.0, 2.0, frame)
+        got = energy_numeric(g, v, points).value
+        value, err = _richardson_reference(g, v, points)
+        assert np.all(np.abs(got - value) <= err)
 
 
 # The energy of a single unit variance along one axis is 2*pi times the
@@ -202,15 +263,6 @@ def test_region_error_outside():
         energy_numeric(GeometryConfig.grounded_sphere(1.0), ISO, Position(0, 0, 0.5))
     with pytest.raises(RegionError):
         energy_numeric(GeometryConfig.boss_hat(1.0), ISO_CYL, Position(0, 0, -0.2))
-
-
-def test_step_underflow_near_contact():
-    # gap of 1e-12 on a unit sphere: the third step h0/4 is sub-ulp
-    g = GeometryConfig.grounded_sphere(1.0)
-    with pytest.raises(StepUnderflowError):
-        energy_numeric(g, Z_ONLY, Position(0, 0, 1.0 + 1e-12))
-    with pytest.raises(StepUnderflowError):
-        energy_numeric(g, ISO, np.array([(0.0, 0.0, 2.0), (0.0, 0.0, 1.0 + 1e-12)]))
 
 
 @given(z0=st.floats(0.5, 20.0))

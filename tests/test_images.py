@@ -13,6 +13,7 @@ from vdwsurf.images import (
     bc_residual,
     build_green,
     g_h,
+    image_records,
     surface_deviation,
     surface_sample,
 )
@@ -401,3 +402,47 @@ def test_surface_sample_equals_the_position_loop_bit_for_bit(config):
         for n in (1, 2, 7, 50, 200, 1000, 1001):
             want = np.array([(p.x, p.y, p.z) for p in _surface_sample_reference(config, n, seed)])
             assert surface_sample(config, n, seed).tobytes() == want.tobytes()
+
+
+def _points_outside(config, rng, n):
+    """n points at 1.2 to 3 R from the centre (above the plane z = 0.2
+    to 2 for the plane), above z = 0 for the boss hat."""
+    if config.kind is GeometryKind.PLANE:
+        return np.column_stack([rng.uniform(-2.0, 2.0, (n, 2)), rng.uniform(0.2, 2.0, n)])
+    u = rng.normal(size=(n, 3))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    if config.kind is GeometryKind.BOSS_HAT:
+        u[:, 2] = np.abs(u[:, 2])
+    return u * (config.radius * rng.uniform(1.2, 3.0, n))[:, None]
+
+
+@pytest.mark.parametrize(
+    "config,kelvin",
+    [
+        (GeometryConfig.plane(), [False]),
+        (GeometryConfig.grounded_sphere(1.3), [True]),
+        (GeometryConfig.isolated_sphere(0.7), [True, False]),
+        (GeometryConfig.boss_hat(1.0), [True, True, False]),
+    ],
+    ids=["plane", "gsphere", "isphere", "bosshat"],
+)
+def test_image_records_sum_to_g_h_and_carry_their_derivatives(config, kelvin):
+    rng = np.random.default_rng(17)
+    green = build_green(config)
+    fields = _points_outside(config, rng, 50)
+    sources = _points_outside(config, rng, 50).T                  # components first
+    e = rng.normal(size=(3, 50))
+    e /= np.linalg.norm(e, axis=0)
+    w, grad_w, loc, j_e, flags = image_records(green, sources, e)
+    assert flags.tolist() == kelvin
+    u = fields.T[:, None] - loc
+    total = np.sum(w / np.sqrt(np.sum(u * u, axis=0)), axis=0) / FOUR_PI
+    np.testing.assert_allclose(total, g_h(green, fields, sources.T), rtol=1e-13)
+    # the derivatives along e, against central differences
+    h = 1e-6
+    w_plus, _, loc_plus, _, _ = image_records(green, sources + h * e, e)
+    w_minus, _, loc_minus, _, _ = image_records(green, sources - h * e, e)
+    np.testing.assert_allclose((loc_plus - loc_minus) / (2.0 * h), j_e, rtol=1e-7, atol=1e-8)
+    np.testing.assert_allclose(
+        (w_plus - w_minus) / (2.0 * h), np.sum(grad_w * e[:, None], axis=0), rtol=1e-7, atol=1e-8
+    )

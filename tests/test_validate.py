@@ -25,6 +25,13 @@ def test_bc_suite_passes():
     assert any("isolated" in n for n in names)
 
 
+def test_isolated_sphere_gradient_is_exact_at_a_seed_finite_differences_failed():
+    # the central-difference gradient gave 1.060e-9 here, over the 1e-9 tolerance
+    check = suite_bc(seed=5864892553).checks[-1]
+    assert check.name == "isolated-sphere gradient condition"
+    assert check.passed and check.residual < 1e-13, check.line()
+
+
 def test_symmetry_suite_passes():
     report = suite_symmetry(seed=42, n_pairs=200)
     assert report.passed, "\n".join(report.lines())
