@@ -44,6 +44,7 @@ from .images import (  # g_h: unused, perfbench wraps it
 from .units import UnitSystem
 
 _EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min
 
 
 def _dot(a, b):
@@ -65,6 +66,7 @@ def energy_numeric(
     results.  err_estimate bounds the rounding error: 8*eps times the
     variance-weighted sum of the absolute image terms, each Kelvin term
     scaled by (1 + |r0|/|u|), as u = r0 - L cancels near the sphere.
+    Magnitudes under the normal range count as its least, the scale of underflow.
 
     For cylindrical-frame variances the three derivative directions are
     rotated so components follow (rho-hat, phi-hat, z-hat) at the atom's
@@ -97,13 +99,15 @@ def energy_numeric(
     inv3 = inv * inv * inv
     total = -np.add.reduce((first + second) * inv3)                # (A, N)
     cond = np.where(kelvin[:, None, None], 1.0 + norm * inv, 1.0)
-    bound = np.add.reduce((np.abs(first) + np.abs(second)) * inv3 * cond)
+    # below the normal range, rounding errors are absolute: up to eps/2 * _TINY
+    size = np.maximum((np.abs(first) + np.abs(second)) * np.maximum(inv3, _TINY), _TINY)
+    bound = np.add.reduce(size * cond)
 
     # 1/(2 eps0) times the 1/(4 pi) of G_H, written via 4*pi*eps0
     scale = 0.5 / units.four_pi_epsilon0
     m = weights[active][:, None]
     value = scale * np.add.reduce(m * total)
-    err = 8.0 * _EPS * scale * np.add.reduce(m * bound)
+    err = 8.0 * _EPS * scale * np.add.reduce(np.maximum(m * bound, _TINY))
     if isinstance(r0, Position):
         return EnergyResult(float(value[0]), float(err[0]), Method.NUMERIC_EZ, units.mode)
     return EnergyResult(value, err, Method.NUMERIC_EZ, units.mode)

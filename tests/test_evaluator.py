@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 try:
     import mpmath
@@ -29,6 +31,8 @@ from vdwsurf.closed import (
     u_plane,
 )
 
+from referee import NEAR_GAPS, points_at_gaps, referee_energy, rim_points
+
 ISO = DipoleVariances.isotropic(1.0)
 ISO_CYL = DipoleVariances.isotropic(1.0, VarianceFrame.CYLINDRICAL_LOCAL)
 
@@ -41,60 +45,6 @@ GEOMETRIES = [
 ]
 GEOMETRY_IDS = ["plane", "gsphere", "isphere", "bosshat"]
 
-# Near-contact gaps, in units of R (of 1 for the plane).
-NEAR_GAPS = 10.0 ** -np.arange(2.0, 13.0)
-
-
-def _referee_g_h(g, r, rp):
-    """G_H(r, r') of mpmath vectors, summed from the image definitions:
-    mirror -1/|r - Pr'|, Kelvin -(R/|r'|)/|r - R^2 r'/|r'|^2|, mirrored
-    Kelvin +(R/|r'|)/|r - P R^2 r'/|r'|^2|, and the isolated sphere's
-    neutrality term R/(|r| |r'|), over 4 pi."""
-    def dist(a, b):
-        return mpmath.sqrt(sum((ai - bi) ** 2 for ai, bi in zip(a, b)))
-
-    def flip(a):
-        return (a[0], a[1], -a[2])
-
-    if g.kind is GeometryKind.PLANE:
-        return -1 / dist(r, flip(rp)) / (4 * mpmath.pi)
-    radius = mpmath.mpf(g.radius)
-    n2 = sum(c * c for c in rp)
-    weight = radius / mpmath.sqrt(n2)
-    kelvin = tuple(radius * radius / n2 * c for c in rp)
-    total = -weight / dist(r, kelvin)
-    if g.kind is GeometryKind.ISOLATED_SPHERE:
-        total += weight / mpmath.sqrt(sum(c * c for c in r))
-    if g.kind is GeometryKind.BOSS_HAT:
-        total += weight / dist(r, flip(kelvin)) - 1 / dist(r, flip(rp))
-    return total / (4 * mpmath.pi)
-
-
-def _referee_energy(g, v, point):
-    """2 pi sum_m <d_m^2> d_m d'_m G_H at 50 digits (reduced units), the
-    mixed derivatives by mpmath.diff along the exact local axes."""
-    with mpmath.workdps(50):
-        p = [mpmath.mpf(c) for c in point]
-        if v.frame is VarianceFrame.CARTESIAN:
-            axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        else:
-            rho = mpmath.sqrt(p[0] ** 2 + p[1] ** 2)
-            c, s = (p[0] / rho, p[1] / rho) if rho else (1, 0)
-            axes = [(c, s, 0), (-s, c, 0), (0, 0, 1)]
-        total = mpmath.mpf(0)
-        for m, e in zip((v.m1, v.m2, v.m3), axes):
-            if m == 0.0:
-                continue
-
-            def along(a, b, e=e):
-                r = [pi + a * ei for pi, ei in zip(p, e)]
-                rp = [pi + b * ei for pi, ei in zip(p, e)]
-                return _referee_g_h(g, r, rp)
-
-            total += mpmath.mpf(m) * mpmath.diff(along, (0, 0), (1, 1))
-        return 2 * mpmath.pi * total
-
-
 def _assert_covered_by_err(g, v, points, bulk=False):
     """|U - referee| <= err_estimate at every point, and in the bulk
     also <= 1e-13 |U|."""
@@ -103,43 +53,19 @@ def _assert_covered_by_err(g, v, points, bulk=False):
     assert np.all(np.isfinite(got.value)) and np.all(np.isfinite(got.err_estimate))
     for p, value, err in zip(points.tolist(), got.value.tolist(), got.err_estimate.tolist()):
         with mpmath.workdps(50):
-            miss = abs(mpmath.mpf(value) - _referee_energy(g, v, p))
+            miss = abs(mpmath.mpf(value) - referee_energy(g, v, p))
             assert miss <= err, (p, value, err, miss)
             if bulk:
                 assert miss <= 1e-13 * abs(value), (p, value, miss)
 
 
-def _points_at_gaps(g, rng, gaps):
-    """One point at each gap (times R, of 1 for the plane) from the
-    surface, in a random direction: above the plane, around the
-    spheres, above the boss hat's dome."""
-    radius = g.radius or 1.0
-    if g.kind is GeometryKind.PLANE:
-        points = rng.uniform(-2.0, 2.0, (len(gaps), 3))
-        points[:, 2] = gaps
-        return points
-    u = rng.normal(size=(len(gaps), 3))
-    u /= np.linalg.norm(u, axis=1)[:, None]
-    if g.kind is GeometryKind.BOSS_HAT:
-        u[:, 2] = np.abs(u[:, 2])
-    return u * (radius * (1.0 + gaps))[:, None]
-
-
-def _rim_points(radius, rng, gaps):
-    """Points beside the boss hat's rim, at rho = R (1 + gap) and
-    z = R gap, at random azimuths."""
-    phi = rng.uniform(-math.pi, math.pi, len(gaps))
-    rho = radius * (1.0 + gaps)
-    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), radius * gaps])
-
-
 def _bulk_and_near_points(g, rng):
     """12 bulk points at gaps R*10^U(-2, 0.5), and two points at each
     gap 1e-2 ... 1e-12 R, plus as many beside the rim of the boss hat."""
-    bulk = _points_at_gaps(g, rng, 10.0 ** rng.uniform(-2.0, 0.5, 12))
-    near = _points_at_gaps(g, rng, np.repeat(NEAR_GAPS, 2))
+    bulk = points_at_gaps(g, rng, 10.0 ** rng.uniform(-2.0, 0.5, 12))
+    near = points_at_gaps(g, rng, np.repeat(NEAR_GAPS, 2))
     if g.kind is GeometryKind.BOSS_HAT:
-        near = np.concatenate([near, _rim_points(g.radius, rng, np.repeat(NEAR_GAPS, 2))])
+        near = np.concatenate([near, rim_points(g.radius, rng, np.repeat(NEAR_GAPS, 2))])
     return bulk, near
 
 
@@ -174,6 +100,28 @@ def test_numeric_is_finite_and_covered_near_contact():
         _assert_covered_by_err(sphere, v, np.array([(0.0, 0.0, 2.0), (0.0, 0.0, 1.0 + 1e-12)]))
 
 
+@pytest.mark.parametrize("z0", [4e102, 5e102, 1e103])
+def test_numeric_bound_covers_subnormal_energies(z0):
+    # U = -(m1 + m2 + 2 m3)/(16 z0^3) above the plane is subnormal at
+    # these heights, where rounding errors are absolute, not relative
+    for v in (ISO, DipoleVariances(1e6, 0.0, 3e6)):
+        got = energy_numeric(GeometryConfig.plane(), v, Position(0.0, 0.0, z0))
+        exact = -(Fraction(v.m1) + Fraction(v.m2) + 2 * Fraction(v.m3)) / (16 * Fraction(z0) ** 3)
+        assert abs(Fraction(got.value) - exact) <= Fraction(got.err_estimate)
+        assert 0.0 < got.err_estimate < 1e-12 * abs(got.value) + 1e-320
+
+
+def test_numeric_bound_is_unchanged_in_the_normal_range():
+    # on the plane's axis at z0 = 2^k the terms are exact: 1 (x, y) and
+    # 2 (z) times (2 z0)^-3, so the bound is 8 eps * 1/2 * (m1 + m2 + 2 m3)
+    # (2 z0)^-3 exactly, wherever that is a normal number
+    v = DipoleVariances(1.0, 2.0, 4.0)
+    for k in (-20, 0, 100, 330, 339):
+        z0 = 2.0**k
+        got = energy_numeric(GeometryConfig.plane(), v, Position(0.0, 0.0, z0))
+        assert got.err_estimate == 4.0 * sys.float_info.epsilon * 11.0 * (2.0 * z0) ** -3
+
+
 def _richardson_reference(g, v, points, base_step=1e-2):
     """A finite-difference reference: the energy by the 4-point stencil at
     the steps h0, h0/2 and h0/4, h0 = base_step * max(distance to the
@@ -205,7 +153,7 @@ def _richardson_reference(g, v, points, base_step=1e-2):
 @pytest.mark.parametrize("g", GEOMETRIES, ids=GEOMETRY_IDS)
 def test_numeric_agrees_with_richardson_reference_in_the_bulk(g):
     rng = np.random.default_rng(7)
-    points = _points_at_gaps(g, rng, 10.0 ** rng.uniform(-2.0, 0.5, 200))
+    points = points_at_gaps(g, rng, 10.0 ** rng.uniform(-2.0, 0.5, 200))
     for frame in VarianceFrame:
         v = DipoleVariances(0.5, 1.0, 2.0, frame)
         got = energy_numeric(g, v, points).value

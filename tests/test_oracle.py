@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from vdwsurf.geometry import (
     DipoleVariances,
     EnergyResult,
     GeometryConfig,
+    GeometryKind,
     Method,
     Position,
     VarianceFrame,
@@ -33,6 +35,8 @@ from vdwsurf.closed import (
     u_isolated_sphere,
     u_plane,
 )
+
+from referee import points_at_gaps, referee_energy, rim_points
 
 ISO = DipoleVariances.isotropic(1.0)
 ISO_CYL = DipoleVariances.isotropic(1.0, VarianceFrame.CYLINDRICAL_LOCAL)
@@ -137,6 +141,36 @@ def test_extrapolated_energy_matches_closed_forms(g, variances, r0, want):
     assert abs(got.value - want) <= max(50.0 * got.err_estimate, 1e-9 * abs(want))
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        GeometryConfig.plane(),
+        GeometryConfig.grounded_sphere(1.3),
+        GeometryConfig.isolated_sphere(0.7),
+        GeometryConfig.boss_hat(1.0),
+    ],
+    ids=["plane", "gsphere", "isphere", "bosshat"],
+)
+def test_oracle_within_err_of_referee(g):
+    # per frame, a bulk point at a gap R*10^U(-2, 0.5), a far one at
+    # R*10^U(1.5, 2.5) (where the isolated sphere's neutrality term
+    # cancels its Kelvin image), one at each gap 1e-2 ... 1e-6 R and, on
+    # the boss hat, two beside the rim: 60 points
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261018)
+    for frame in VarianceFrame:
+        v = DipoleVariances(0.5, 1.0, 2.0, frame)
+        gaps = 10.0 ** np.concatenate([rng.uniform((-2.0, 1.5), (0.5, 2.5)), -np.arange(2.0, 7.0)])
+        points = points_at_gaps(g, rng, gaps)
+        if g.kind is GeometryKind.BOSS_HAT:
+            points = np.concatenate([points, rim_points(g.radius, rng, 10.0 ** rng.uniform(-6.0, -2.0, 2))])
+        got = extrapolated_energy(g, v, points)
+        for p, value, err in zip(points.tolist(), got.value.tolist(), got.err_estimate.tolist()):
+            with mpmath.workdps(50):
+                miss = abs(mpmath.mpf(value) - referee_energy(g, v, p))
+            assert miss <= err <= 1e-4 * abs(value), (p, value, err, miss)
+
+
 def test_extrapolated_energy_region_error():
     with pytest.raises(RegionError):
         extrapolated_energy(GeometryConfig.plane(), ISO, Position(0, 0, -0.5))
@@ -163,13 +197,9 @@ def test_extrapolated_energy_grid_equals_per_point_calls(region_grid):
         assert batch.err_estimate[i] == single.err_estimate
 
 
-def _per_point_reference(
-    g, atom, r0, fractions=DEFAULT_H_FRACTIONS, units=UnitSystem.reduced()
-):
-    """extrapolated_energy as it was with one pair of least-squares fits
-    per point and axis, kept as the reference of the grouped fits; the
-    step schedule is the given fractions of the distance to the surface."""
-    points = as_points(r0).reshape(-1, 3)
+def _reference_samples(g, atom, points, fractions, units):
+    """The finite-dipole samples of the reference, shape (N, A, K), with
+    its design points x = (h/ell)^2, shape (N, K), and active axes."""
     if not np.all(physical_region(g, points)):
         raise RegionError("r0 must lie strictly inside the physical region")
     green = build_green(g)
@@ -187,7 +217,18 @@ def _per_point_reference(
     tip = base + h * e
     q = np.array([math.sqrt(weights[m]) for m in active])[:, None] / h_values[:, None, :]
     q_squared = np.array([qq**2 for qq in q.ravel().tolist()]).reshape(q.shape)
-    samples = _pair_energies(green, base, tip, q_squared, units)
+    samples, _ = _pair_energies(green, base, tip, q_squared, units)
+    return samples, x, active
+
+
+def _per_point_reference(
+    g, atom, r0, fractions=DEFAULT_H_FRACTIONS, units=UnitSystem.reduced()
+):
+    """The oracle by one pair of least-squares fits (np.linalg.lstsq) per
+    point and axis, kept as a cross-check of the fixed fit map; the step
+    schedule is the given fractions of the distance to the surface."""
+    points = as_points(r0).reshape(-1, 3)
+    samples, x, active = _reference_samples(g, atom, points, fractions, units)
 
     totals = []
     errs = []
@@ -217,6 +258,16 @@ def _per_point_reference(
     return EnergyResult(np.array(totals), np.array(errs), Method.ORACLE, units.mode)
 
 
+def _rounding_slack(g, atom, points, fractions):
+    """4 eps sum_axes sum_j |c0_j| |s_j| per point, with c0 the h = 0 row
+    of the design's pseudo-inverse: the rounding allowed between two
+    evaluations of the same h -> 0 fit."""
+    samples, _, _ = _reference_samples(g, atom, points, fractions, UnitSystem.reduced())
+    x = np.array(fractions) ** 2
+    c0 = np.linalg.pinv(np.column_stack([np.ones_like(x), x, x * x]))[0]
+    return 4.0 * sys.float_info.epsilon * np.sum(np.abs(c0) * np.abs(samples), axis=(1, 2))
+
+
 def _outcome(route, *args, **kwargs):
     """The exact bytes of value and err_estimate, or the error raised."""
     try:
@@ -242,38 +293,42 @@ def _count_lstsq(monkeypatch):
     return calls
 
 
+def _assert_within_rounding_of_per_point_fits(g, variances, points, monkeypatch, fractions):
+    """Batch and single calls within the reference's rounding slack of
+    the per-point least-squares fits, err_estimate at least their fit
+    error, and no least-squares call."""
+    want = _per_point_reference(g, variances, points, fractions)
+    slack = _rounding_slack(g, variances, points, fractions)
+    calls = _count_lstsq(monkeypatch)
+    got = extrapolated_energy(g, variances, points)
+    assert np.all(np.abs(got.value - want.value) <= slack)
+    assert np.all(got.err_estimate >= want.err_estimate - slack)
+    for i, p in enumerate(points.tolist()):
+        single = extrapolated_energy(g, variances, Position(*p))
+        assert abs(single.value - want.value[i]) <= slack[i]
+    assert not calls
+
+
 def test_grouped_fits_equal_per_point_fits(region_grid, monkeypatch):
     g, variances, points = region_grid
-    want = _outcome(_per_point_reference, g, variances, points)
-    calls = _count_lstsq(monkeypatch)
-    assert _outcome(extrapolated_energy, g, variances, points) == want
-    # the default schedule gives at most three distinct designs per request
-    assert len(calls) <= 6
-    for p in points.tolist():
-        position = Position(*p)
-        assert _outcome(extrapolated_energy, g, variances, position) == _outcome(
-            _per_point_reference, g, variances, position
-        )
+    _assert_within_rounding_of_per_point_fits(
+        g, variances, points, monkeypatch, DEFAULT_H_FRACTIONS
+    )
 
 
 def test_grouped_fits_equal_per_point_fits_over_random_distances(monkeypatch):
-    # distances to the surface spread over nine decades give design rows
-    # (h/ell)^2 that differ in their last bits, so the batch has several
-    # groups of points sharing one pair of least-squares fits
+    # distances to the surface spread over nine decades, where the
+    # computed (h/ell)^2 of the reference's design rows differ in their
+    # last bits
     rng = np.random.default_rng(7)
     g = GeometryConfig.grounded_sphere(1.3)
     u = rng.normal(size=(300, 3))
     u /= np.linalg.norm(u, axis=1)[:, None]
     points = u * (1.3 + 10.0 ** rng.uniform(-6.0, 3.0, 300))[:, None]
-    ell = surface_distance(g, points)[:, None]
-    rows = {x.tobytes() for x in (ell * np.array(DEFAULT_H_FRACTIONS) / ell) ** 2}
-    assert len(rows) >= 2
     variances = DipoleVariances(0.5, 1.0, 2.0)
-    want = _outcome(_per_point_reference, g, variances, points)
-    assert want[0] is np.ndarray
-    calls = _count_lstsq(monkeypatch)
-    assert _outcome(extrapolated_energy, g, variances, points) == want
-    assert len(calls) == 2 * len(rows)
+    _assert_within_rounding_of_per_point_fits(
+        g, variances, points, monkeypatch, DEFAULT_H_FRACTIONS
+    )
 
 
 @pytest.mark.parametrize("near_contact", [True, False], ids=["near-contact", "bulk"])
@@ -285,15 +340,10 @@ def test_grouped_fits_equal_per_point_fits_with_custom_schedule(
     fractions = (0.2, 0.1, 0.05)
     monkeypatch.setattr("vdwsurf.oracle.DEFAULT_H_FRACTIONS", fractions)
     g, variances, points = region_grid
-    ell = surface_distance(g, points)[:, None]
-    band = (ell[:, 0] < 1e-3) == near_contact
-    points, ell = points[band], ell[band]
-    rows = {x.tobytes() for x in (ell * np.array(fractions) / ell) ** 2}
-    want = _outcome(_per_point_reference, g, variances, points, fractions)
-    assert want[0] is np.ndarray
-    calls = _count_lstsq(monkeypatch)
-    assert _outcome(extrapolated_energy, g, variances, points) == want
-    assert len(calls) == 2 * len(rows)
+    band = (surface_distance(g, points) < 1e-3) == near_contact
+    _assert_within_rounding_of_per_point_fits(
+        g, variances, points[band], monkeypatch, fractions
+    )
 
 
 def test_extrapolation_error_names_the_first_failing_point_and_axis(monkeypatch):
