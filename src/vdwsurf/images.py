@@ -31,11 +31,12 @@ with J the Jacobian of the location in r'.
   boss hat         kelvin (-1), mirrored kelvin (+1) and mirror (-1):
                    a hemisphere of radius R capping an infinite plane
 
-g_h evaluates the sum with operators and numpy ufuncs only, for one
-pair of Positions or for arrays of point pairs of shape (..., 3), so
-one call serves a whole batch.  image_records gives the same images as
-arrays together with their first derivatives in the source point, from
-which the numeric route and bc_residual differentiate G_H exactly.
+g_h takes one pair of Positions or arrays of point pairs, (..., 3), so
+one call serves a batch.  It works on components-first views, so that
+each vector step is one ufunc over a (3, ...) block.  image_records
+gives the same images as arrays together with their first derivatives
+in the source point, from which the numeric route and bc_residual
+differentiate G_H exactly.
 """
 
 from __future__ import annotations
@@ -119,38 +120,38 @@ def g_h(green: HomogeneousGreen, r, r_prime):
     naming the first such field point in C order.
     """
     scalar = isinstance(r, Position) and isinstance(r_prime, Position)
-    r = as_points(r)
-    rp = as_points(r_prime)
-    x, y, z = r[..., 0], r[..., 1], r[..., 2]
-    xp, yp, zp = rp[..., 0], rp[..., 1], rp[..., 2]
+    points, rp = as_points(r), as_points(r_prime)
+    ndim = max(points.ndim, rp.ndim)   # pad the one with fewer axes, then put components first
+    order = (ndim - 1,) + tuple(range(ndim - 1))
+    r, rp = (a.reshape((1,) * (ndim - a.ndim) + a.shape).transpose(order) for a in (points, rp))
     radius = green.geometry.radius
-    r_norm = point_norms(r)
+    rr = r * r
+    r_norm = np.sqrt(rr[0] + rr[1] + rr[2])
+    pp = rp * rp
+    n2 = pp[0] + pp[1] + pp[2]
+    rp_norm = np.sqrt(n2)
+    mirror = np.array((1.0, 1.0, -1.0)).reshape((3,) + (1,) * (ndim - 1))   # exact reflection
     if any(img.kind is not ImageKind.MIRROR for img in green.images):
-        rp_norm = point_norms(rp)
-        f = radius * radius / (xp * xp + yp * yp + zp * zp)   # Kelvin inversion
-        kelvin = (f * xp, f * yp, f * zp)
+        kelvin = radius * radius / n2 * rp   # Kelvin inversion
+        kk = kelvin * kelvin
+        kelvin_norm = np.sqrt(kk[0] + kk[1] + kk[2])
         kelvin_weight = radius / rp_norm
 
     terms = []
     degenerate = False
     for img in green.images:
         if img.kind is ImageKind.MIRROR:
-            loc = (xp, yp, -zp)
-            weight = img.sign
+            loc, loc_norm, weight = rp * mirror, rp_norm, img.sign
         else:
-            if img.kind is ImageKind.KELVIN:
-                loc = kelvin
-            else:
-                loc = (kelvin[0], kelvin[1], -kelvin[2])
-            weight = img.sign * kelvin_weight
-        dx = x - loc[0]
-        dy = y - loc[1]
-        dz = z - loc[2]
-        dist = np.sqrt(dx * dx + dy * dy + dz * dz)
-        loc_norm = np.sqrt(loc[0] * loc[0] + loc[1] * loc[1] + loc[2] * loc[2])
+            loc = kelvin if img.kind is ImageKind.KELVIN else kelvin * mirror
+            loc_norm, weight = kelvin_norm, img.sign * kelvin_weight
+        d = r - loc
+        dd = d * d
+        dist = np.sqrt(dd[0] + dd[1] + dd[2])
         degenerate = degenerate | (dist <= _DEGENERATE_RTOL * np.maximum(r_norm, loc_norm))
         terms.append((weight, dist))
-    _reject_coincident(r, degenerate)
+    if degenerate.any():
+        _reject_coincident(points, degenerate)
 
     total = 0.0
     for weight, dist in terms:

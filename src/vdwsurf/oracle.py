@@ -11,6 +11,7 @@ dispersion term (1/2*eps0) <d_m^2> d_m d'_m G_H.  extrapolated_energy
 centers each pair on the atom position (base = r0 - (h/2) e), which
 cancels the odd powers of h in the error expansion, then extrapolates to h = 0 by
 a {1, x, x^2} least-squares fit in x = (h/ell)^2 at fixed h/ell: a constant map.
+All charges lie components first in one (3, 2, A, N, K) array for one G_H call.
 
 This path shares only the image construction with the closed forms and
 the numeric evaluator; the differentiation is replaced by physical
@@ -51,9 +52,11 @@ _REDUCED = UnitSystem.reduced()
 DEFAULT_H_FRACTIONS = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 
 # Residual tolerance of the h -> 0 fit, relative to the extrapolated value,
-# and the k eps of err_estimate's rounding term (see extrapolated_energy).
+# the k eps of err_estimate's rounding term (see extrapolated_energy) and
+# the least normal magnitude, below which rounding errors are absolute.
 _FIT_RTOL = 1e-3
 _ROUNDING = 8.0 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -67,23 +70,22 @@ class FiniteDipole:
 
 def _pair_energies(
     green: HomogeneousGreen,
-    base: np.ndarray,
-    tip: np.ndarray,
+    pair: np.ndarray,
     q_squared: np.ndarray,
     units: UnitSystem,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Image energies of charge pairs +q at base, -q at tip, shape (..., 3)
-    points and (...) q^2, from one G_H call; and, as their rounding's scale, |G_H| summed."""
+    """Image energies of charge pairs +q at pair[0], -q at pair[1], points of shape
+    (2, ..., 3), and (...) q^2, from one G_H call; and, as their rounding's scale, |G_H| summed."""
     g = green.geometry
-    charges = np.stack([base, tip], axis=-2)   # G_H at (b, b), (b, t), (t, b), (t, t):
-    if not np.all(physical_region(g, charges)):
+    if not physical_region(g, pair).all():
         raise RegionError("both dipole charges must lie in the physical region")
-    v = g_h(green, charges[..., :, None, :], charges[..., None, :, :]).reshape(*base.shape[:-1], 4)
-    combination = v[..., 0] - v[..., 1] - v[..., 2] + v[..., 3]
-    size = np.abs(v[..., 0]) + np.abs(v[..., 1]) + np.abs(v[..., 2]) + np.abs(v[..., 3])
+    v = g_h(green, pair[:, None], pair[None])   # G_H at (b, b), (b, t); (t, b), (t, t)
+    combination = v[0, 0] - v[0, 1] - v[1, 0] + v[1, 1]
+    a = np.abs(v)
+    size = a[0, 0] + a[0, 1] + a[1, 0] + a[1, 1]
     if g.kind is GeometryKind.ISOLATED_SPHERE:
         # + 2 R/(4 pi |r||r'|): the Kelvin image and the neutrality term cancel far out
-        size = size + g.radius / (2.0 * math.pi) * np.sum(1.0 / point_norms(charges), axis=-1) ** 2
+        size = size + g.radius / (2.0 * math.pi) * np.sum(1.0 / point_norms(pair), axis=0) ** 2
     # q^2/(2 eps0) written via 4*pi*eps0 so reduced mode stays exact.
     factor = q_squared * (2.0 * math.pi / units.four_pi_epsilon0)
     return factor * combination, factor * size
@@ -94,8 +96,8 @@ def finite_dipole_energy(
 ) -> float:
     """Image-interaction energy of a finite two-charge dipole."""
     base = as_points(fd.center)
-    tip = base + np.asarray(fd.h_vec, dtype=float)
-    return float(_pair_energies(build_green(g), base, tip, fd.q**2, units)[0])
+    pair = np.stack([base, base + np.asarray(fd.h_vec, dtype=float)])
+    return float(_pair_energies(build_green(g), pair, fd.q**2, units)[0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -132,14 +134,15 @@ def extrapolated_energy(
     raises ExtrapolationError naming the axis of the first failing point.
     err_estimate adds the samples' rounding, 8 eps sum_j |c0_j| (q_j^2/2 eps0)
     sum|G_H|_j (1 + f_j |r0|/ell): the G_H cancel by (h/ell)^2, and the
-    coordinates, rounded at eps |r0|, move a pair by eps |r0|/h_j.
+    coordinates, rounded at eps |r0|, move a pair by eps |r0|/h_j.  A term of
+    the sum under the normal range counts as its least, the scale of underflow.
 
     r0 is a Position, giving float value and err_estimate, or an (N, 3) array of positions,
     giving (N,) arrays equal to the per-point results: one G_H call, then K multiply-adds.
     """
     points = as_points(r0).reshape(-1, 3)
     ell = surface_distance(g, points)
-    if not np.all(ell > 0.0):
+    if not (ell > 0.0).all():
         raise RegionError("r0 must lie strictly inside the physical region")
     v = variances_of(atom)
     fractions = tuple(DEFAULT_H_FRACTIONS)
@@ -147,31 +150,36 @@ def extrapolated_energy(
 
     weights = (v.m1, v.m2, v.m3)
     active = [m for m in range(3) if weights[m] != 0.0]
-    e = local_axes(v.frame, points)[:, active, None, :]          # (N, A, 1, 3)
-    h = h_values[:, None, :, None]                               # (N, 1, K, 1)
-    base = points[:, None, None, :] - 0.5 * h * e                # centered pairs
-    tip = base + h * e
-    q = np.array([math.sqrt(weights[m]) for m in active])[:, None] / h_values[:, None, :]
-    # q^2 through Python's ** (the C library pow), not numpy's power,
-    # which may round differently in the last bit.
-    q_squared = np.array([qq**2 for qq in q.ravel().tolist()]).reshape(q.shape)
-    samples, size = _pair_energies(build_green(g), base, tip, q_squared, units)   # (N, A, K)
+    e = local_axes(v.frame, points)[:, active].transpose(2, 1, 0)[..., None]   # (3, A, N, 1)
+    charges = np.empty((3, 2, len(active)) + h_values.shape)   # (3, 2, A, N, K): base, tip
+    base, tip = charges[:, 0], charges[:, 1]
+    np.multiply(0.5 * h_values, e, out=base)
+    np.subtract(points.T[:, None, :, None], base, out=base)       # centered pairs
+    np.multiply(h_values, e, out=tip)
+    np.add(base, tip, out=tip)
+    q = np.array([math.sqrt(weights[m]) for m in active])[:, None, None] / h_values
+    with np.errstate(over="ignore"):   # float_power is the C library pow, as Python's ** is;
+        q_squared = np.float_power(q, 2.0)   # numpy's power may round differently
+    if (np.isinf(q_squared) & np.isfinite(q)).any():
+        raise OverflowError("finite-dipole charge squared q^2 = <d_m^2>/h^2 overflows")
+    pair = charges.transpose(1, 2, 3, 4, 0)                       # components-last views
+    samples, size = _pair_energies(build_green(g), pair, q_squared, units)
 
     fit_map = _fit_map(fractions)   # (2 + K, K), applied one sample index at a time
-    fit = sum(c[:, None, None] * s for c, s in zip(fit_map.T, np.moveaxis(samples, -1, 0)))
+    fit = sum(fit_map.T[:, :, None, None] * samples.transpose(2, 0, 1)[:, None])
     a0 = fit[0]
-    err_fit = np.maximum(np.max(np.abs(fit[2:]), axis=0), np.abs(a0 - fit[1]))
-    scale = np.maximum(np.abs(a0), np.max(np.abs(samples), axis=-1))
-    failed = (scale > 0.0) & (err_fit > _FIT_RTOL * scale)
+    err_fit = np.maximum(np.abs(fit[2:]).max(axis=0), np.abs(a0 - fit[1]))
+    scale = np.maximum(np.abs(a0), np.abs(samples).max(axis=-1))
+    failed = err_fit > _FIT_RTOL * scale   # never where scale is 0: then every fit is 0
     if failed.any():   # name the first failing (point, axis) in point-major order
-        axis = active[int(np.flatnonzero(failed)[0]) % len(active)] + 1
+        axis = active[int(np.flatnonzero(failed.T)[0]) % len(active)] + 1
         raise ExtrapolationError(f"finite-dipole extrapolation failed to converge on axis {axis}")
     spread = np.abs(fit_map[0]) * (1.0 + np.array(fractions) * (point_norms(points) / ell)[:, None])
-    err_axis = err_fit + _ROUNDING * np.add.reduce(spread[:, None, :] * size, axis=-1)
+    err_axis = err_fit + _ROUNDING * np.add.reduce(np.maximum(spread * size, _TINY), axis=-1)
     total = err_total = np.zeros(len(points))
     for k in range(len(active)):   # axis by axis, in the order of the per-point sums
-        total = total + a0[:, k]
-        err_total = err_total + err_axis[:, k]
+        total = total + a0[k]
+        err_total = err_total + err_axis[k]
     if isinstance(r0, Position):
         return EnergyResult(float(total[0]), float(err_total[0]), Method.ORACLE, units.mode)
     return EnergyResult(total, err_total, Method.ORACLE, units.mode)

@@ -526,6 +526,21 @@ def test_config_file_rejects_non_finite_input(tmp_path, capsys):
     assert "--z0 must be a finite number" in err
 
 
+@pytest.mark.parametrize("command", ["energy", "scan"])
+def test_oracle_charge_overflow_exits_2_naming_it(command, capsys, tmp_path):
+    # at z0 = 1e-300 the steps h are about 1e-303, so q^2 = <d_m^2>/h^2 overflows
+    flags = ["--geometry", "plane", "--isotropic", "1", "--method", "oracle"]
+    if command == "energy":
+        argv, prefix = ["energy", *flags, "--z0", "1e-300"], ""
+    else:
+        argv = ["scan", *flags, "--log", "--from", "1e-300", "--to", "1", "--points", "4",
+                "--out", str(tmp_path / "scan.csv")]
+        prefix = "at z0=1e-300: "
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"vdwsurf: {prefix}finite-dipole charge squared q^2 = <d_m^2>/h^2 overflows\n"
+
+
 def test_energy_overflow_prints_no_invalid_json(capsys):
     code, out, err = run_cli(
         capsys, "energy", "--geometry", "plane", "--isotropic", "1e308", "--z0", "1e-3"

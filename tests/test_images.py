@@ -296,16 +296,28 @@ def _region_points(config, rng, n):
     return np.array(points)
 
 
-@pytest.mark.parametrize(
-    "config",
-    [
-        GeometryConfig.plane(),
-        GeometryConfig.grounded_sphere(1.3),
-        GeometryConfig.isolated_sphere(0.7),
-        GeometryConfig.boss_hat(1.0),
-    ],
-    ids=["plane", "gsphere", "isphere", "bosshat"],
-)
+_CONFIGS = [
+    GeometryConfig.plane(),
+    GeometryConfig.grounded_sphere(1.3),
+    GeometryConfig.isolated_sphere(0.7),
+    GeometryConfig.boss_hat(1.0),
+]
+_CONFIG_IDS = ["plane", "gsphere", "isphere", "bosshat"]
+
+
+def _assert_reference_bits(config, got, left, right):
+    """got has the broadcast shape of the (..., 3) point arrays left and
+    right, and each element the bits of _reference_g_h at its pair."""
+    left, right = np.broadcast_arrays(left, right)
+    want = [
+        _reference_g_h(config, Position(*r), Position(*rp))
+        for r, rp in zip(left.reshape(-1, 3).tolist(), right.reshape(-1, 3).tolist())
+    ]
+    assert got.shape == left.shape[:-1]
+    assert got.ravel().tolist() == want
+
+
+@pytest.mark.parametrize("config", _CONFIGS, ids=_CONFIG_IDS)
 def test_batched_g_h_equals_per_image_loop(config):
     rng = np.random.default_rng(20120411)
     left = _region_points(config, rng, 500)
@@ -322,6 +334,20 @@ def test_batched_g_h_equals_per_image_loop(config):
     first = g_h(green, Position(*left[0].tolist()), Position(*right[0].tolist()))
     assert type(first) is float and first == want[0]
 
+    # (2, 1, M, 3) against (1, 2, M, 3)
+    m = 30
+    left, right = left[:2 * m].reshape(2, 1, m, 3), right[:2 * m].reshape(1, 2, m, 3)
+    _assert_reference_bits(config, g_h(green, left, right), left, right)
+    # a Position against an (N, 3) array, both ways
+    points = right.reshape(-1, 3)
+    p = Position(*left[0, 0, 0].tolist())
+    _assert_reference_bits(config, g_h(green, p, points), as_points(p), points)
+    _assert_reference_bits(config, g_h(green, points, p), points, as_points(p))
+    # components-last views of components-first memory, as the oracle passes them
+    memory = np.ascontiguousarray(np.concatenate([left[:, 0], right[0]]).transpose(2, 0, 1))
+    pair = memory.transpose(1, 2, 0)   # (4, m, 3), not contiguous
+    _assert_reference_bits(config, g_h(green, pair[:, None], pair[None]), pair[:, None], pair[None])
+
 
 def test_batched_degenerate_source_names_first_point():
     green = build_green(GeometryConfig.grounded_sphere(1.0))
@@ -331,6 +357,27 @@ def test_batched_degenerate_source_names_first_point():
     with pytest.raises(DegenerateSourceError, match=r"\(0\.0, 0\.0, 0\.5\)"):
         g_h(green, r, rp)
     assert np.all(np.isfinite(g_h(green, r[::2], rp[::2][::-1])))
+
+
+@pytest.mark.parametrize("config", _CONFIGS, ids=_CONFIG_IDS)
+def test_coincidence_in_a_multi_axis_batch_is_named_before_any_division(config):
+    green = build_green(config)
+
+    def image(rp):   # the Kelvin image, on the plane the mirror image
+        if config.kind is GeometryKind.PLANE:
+            return (rp[0], rp[1], -rp[2])
+        f = config.radius * config.radius / (rp[0] * rp[0] + rp[1] * rp[1] + rp[2] * rp[2])
+        return tuple(f * c for c in rp)
+
+    sources = [(0.5, 2.0, 3.0), (0.0, 4.0, 0.0), (0.0, 0.0, 2.0)]   # broadcast over axis 0
+    fields = np.array([[(1.0, 1.5, 2.0), (2.5, -1.0, 1.0), image(sources[2])],
+                       [image(sources[0]), (0.0, 1.0, 3.0), image(sources[1])]])
+    # (0, 2) is first in C order; (1, 0) would come first in Fortran order
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        with pytest.raises(DegenerateSourceError) as excinfo:
+            g_h(green, fields, np.array(sources))
+    fx, fy, fz = image(sources[2])
+    assert f"field point ({fx}, {fy}, {fz}) coincides" in str(excinfo.value)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from vdwsurf.oracle import (
     _FIT_RTOL,
     DEFAULT_H_FRACTIONS,
     FiniteDipole,
+    _fit_map,
     _pair_energies,
     extrapolated_energy,
     finite_dipole_energy,
@@ -171,6 +173,17 @@ def test_oracle_within_err_of_referee(g):
             assert miss <= err <= 1e-4 * abs(value), (p, value, err, miss)
 
 
+@pytest.mark.parametrize("z0", [1e105, 1e110, 1e150])
+def test_oracle_bound_covers_subnormal_energies(z0):
+    # U = -(m1 + m2 + 2 m3)/(16 z0^3) above the plane is subnormal or below
+    # the least subnormal here, where rounding errors are absolute
+    for v in (ISO, DipoleVariances(1e6, 0.0, 3e6)):
+        got = extrapolated_energy(GeometryConfig.plane(), v, Position(0.0, 0.0, z0))
+        exact = -(Fraction(v.m1) + Fraction(v.m2) + 2 * Fraction(v.m3)) / (16 * Fraction(z0) ** 3)
+        assert abs(Fraction(got.value) - exact) <= Fraction(got.err_estimate)
+        assert 0.0 < got.err_estimate < 1e-6 * abs(got.value) + 1e-320
+
+
 def test_extrapolated_energy_region_error():
     with pytest.raises(RegionError):
         extrapolated_energy(GeometryConfig.plane(), ISO, Position(0, 0, -0.5))
@@ -217,8 +230,31 @@ def _reference_samples(g, atom, points, fractions, units):
     tip = base + h * e
     q = np.array([math.sqrt(weights[m]) for m in active])[:, None] / h_values[:, None, :]
     q_squared = np.array([qq**2 for qq in q.ravel().tolist()]).reshape(q.shape)
-    samples, _ = _pair_energies(green, base, tip, q_squared, units)
+    samples, _ = _pair_energies(green, np.stack([base, tip]), q_squared, units)
     return samples, x, active
+
+
+@pytest.mark.parametrize(
+    "g, variances",
+    [
+        (GeometryConfig.plane(), DipoleVariances(0.5, 1.0, 2.0)),
+        (GeometryConfig.boss_hat(1.0), DipoleVariances(0.5, 1.0, 2.0, VarianceFrame.CYLINDRICAL_LOCAL)),
+    ],
+    ids=["plane", "bosshat"],
+)
+def test_oracle_value_is_the_fit_map_on_the_reference_samples_bit_for_bit(g, variances):
+    # the reference squares q with Python's **; numpy's power and q * q
+    # differ from it for about one q in 1,200, and here there are 12,000
+    rng = np.random.default_rng(1204)
+    n = 1000
+    points = np.column_stack(
+        [rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n), rng.uniform(1.1, 3.0, n)]
+    )
+    samples, _, _ = _reference_samples(g, variances, points, DEFAULT_H_FRACTIONS, UnitSystem.reduced())
+    c0 = _fit_map(tuple(DEFAULT_H_FRACTIONS))[0].tolist()
+    # K multiply-adds per axis, then the axes in order, each sum from 0
+    want = [sum(sum(c * s for c, s in zip(c0, axis)) for axis in point) for point in samples.tolist()]
+    assert extrapolated_energy(g, variances, points).value.tolist() == want
 
 
 def _per_point_reference(
