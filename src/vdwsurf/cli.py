@@ -210,7 +210,11 @@ def cmd_energy(args: argparse.Namespace) -> int:
     _required(args, "geometry")
     z0 = _required(args, "z0")
     units, g, variances = _setup(args)
-    result = _route(args.method)(g, variances, Position(args.rho0, 0.0, z0), units=units)
+    try:
+        result = _route(args.method)(g, variances, Position(args.rho0, 0.0, z0), units=units)
+    except (FloatingPointError, ZeroDivisionError) as exc:   # OverflowError names its point
+        exc.args = (f"at rho0={args.rho0!r}, z0={z0!r}: {exc}",)   # as scan names it
+        raise
     err = result.err_estimate if math.isfinite(result.err_estimate) else None
     payload = {
         "energy": result.value,

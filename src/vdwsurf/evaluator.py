@@ -34,23 +34,11 @@ from .geometry import (
     surface_distance,
     variances_of,
 )
-from .images import (  # g_h: unused, perfbench wraps it
-    _DEGENERATE_RTOL,
-    _reject_coincident,
-    build_green,
-    g_h,
-    image_records,
-)
+from .images import _distances, _dot, build_green, g_h, image_records  # g_h: perfbench wraps it
 from .units import UnitSystem
 
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
-
-
-def _dot(a, b):
-    """a . b of vectors that hold their components first, element by
-    element, so that a batch gives each point the bits of its own call."""
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def energy_numeric(
@@ -84,10 +72,7 @@ def energy_numeric(
     e = np.ascontiguousarray(local_axes(v.frame, points)[:, active].T)
     norm = np.sqrt(_dot(r, r))
     w, grad_w, loc, j_e, kelvin = image_records(build_green(g), r, e)
-    u = r[:, None] - loc                                           # (3, K, 1, N)
-    dist = np.sqrt(_dot(u, u))
-    degenerate = dist <= _DEGENERATE_RTOL * np.maximum(norm, np.sqrt(_dot(loc, loc)))
-    _reject_coincident(points, np.any(degenerate, axis=(0, 1)))
+    u, dist = _distances(points, r, norm, loc)                     # (3, K, 1, N), (K, 1, N)
 
     # The image terms times |u|^3, with u-hat = u/|u| so that no product
     # overflows before the energy does.

@@ -31,12 +31,14 @@ with J the Jacobian of the location in r'.
   boss hat         kelvin (-1), mirrored kelvin (+1) and mirror (-1):
                    a hemisphere of radius R capping an infinite plane
 
-g_h takes one pair of Positions or arrays of point pairs, (..., 3), so
-one call serves a batch.  It works on components-first views, so that
-each vector step is one ufunc over a (3, ...) block.  image_records
-gives the same images as arrays together with their first derivatives
-in the source point, from which the numeric route and bc_residual
-differentiate G_H exactly.
+One table, _image_table, turns the records into numbers: the weights
+(K, ...) and locations (3, K, ...) of all images, components first, so
+that each vector step is one ufunc over a block.  It has three
+consumers: g_h, for one pair of Positions or arrays of point pairs,
+(..., 3), per call; image_records, which adds the first derivatives in
+the source point; and through it the numeric route and bc_residual,
+which differentiate G_H exactly.  One rule, in _distances, rejects a
+field point on an image location for all of them, before any division.
 """
 
 from __future__ import annotations
@@ -97,15 +99,60 @@ def build_green(g: GeometryConfig) -> HomogeneousGreen:
     return HomogeneousGreen(_IMAGE_SYSTEMS[g.kind], g)
 
 
-def _reject_coincident(r: np.ndarray, degenerate) -> None:
-    """Raise DegenerateSourceError naming the first field point of r,
-    shape (..., 3), in C order over the shape of degenerate, where a
-    field point is within _DEGENERATE_RTOL * max(|r|, |loc|) of an
-    image location loc."""
-    if np.any(degenerate):
+def _dot(a, b):
+    """a . b of vectors that hold their components first, (3, ...), with
+    one number of axes, element by element, so that a batch gives each
+    point the bits of its own call."""
+    ab = a * b
+    return ab[0] + ab[1] + ab[2]
+
+
+def _components_first(*arrays: np.ndarray) -> list:
+    """Views of point arrays, (..., 3), padded to one ndim, components first."""
+    ndim = max(a.ndim for a in arrays)
+    order = (ndim - 1,) + tuple(range(ndim - 1))
+    return [a.reshape((1,) * (ndim - a.ndim) + a.shape).transpose(order) for a in arrays]
+
+
+def _image_table(green: HomogeneousGreen, rp: np.ndarray) -> tuple:
+    """Weights w (K, ...) and locations loc (3, K, ...) of the images at
+    source points rp (3, ...), without the isolated sphere's neutrality
+    term, and f = R^2/|r'|^2 of the Kelvin images (None if there are
+    none): the one place where Image records become numbers."""
+    images = green.images
+    w = np.empty((len(images),) + rp.shape[1:])
+    loc = np.empty((3, len(images)) + rp.shape[1:])
+    f = None
+    if green.geometry.kind is not GeometryKind.PLANE:
+        radius = green.geometry.radius
+        n2 = _dot(rp, rp)
+        kelvin_w = radius / np.sqrt(n2)
+        f = radius * radius / n2   # Kelvin inversion
+        kelvin_loc = f * rp
+    for k, img in enumerate(images):
+        if img.kind is ImageKind.MIRROR:
+            w[k], loc[:, k] = img.sign, rp
+        else:
+            w[k], loc[:, k] = img.sign * kelvin_w, kelvin_loc
+        if img.kind is not ImageKind.KELVIN:   # reflected in z = 0
+            loc[2, k] = -loc[2, k]
+    return w, loc, f
+
+
+def _distances(points: np.ndarray, r: np.ndarray, r_norm, loc: np.ndarray) -> tuple:
+    """u = r - loc and |u| of field points r (3, ...) and locations loc
+    (3, K, ...).  Raises DegenerateSourceError, before any division,
+    naming the first of points (..., 3) in C order that lies within
+    _DEGENERATE_RTOL * max(|r|, |loc|) of a location."""
+    u = r[:, None] - loc
+    dist = np.sqrt(_dot(u, u))
+    degenerate = dist <= _DEGENERATE_RTOL * np.maximum(r_norm, np.sqrt(_dot(loc, loc)))
+    if degenerate.any():
+        degenerate = np.any(degenerate, axis=0)
         first = np.argmax(np.ravel(degenerate))
-        fx, fy, fz = np.broadcast_to(r, np.shape(degenerate) + (3,)).reshape(-1, 3)[first].tolist()
+        fx, fy, fz = np.broadcast_to(points, degenerate.shape + (3,)).reshape(-1, 3)[first].tolist()
         raise DegenerateSourceError(f"field point ({fx}, {fy}, {fz}) coincides with an image location")
+    return u, dist
 
 
 def g_h(green: HomogeneousGreen, r, r_prime):
@@ -120,45 +167,14 @@ def g_h(green: HomogeneousGreen, r, r_prime):
     naming the first such field point in C order.
     """
     scalar = isinstance(r, Position) and isinstance(r_prime, Position)
-    points, rp = as_points(r), as_points(r_prime)
-    ndim = max(points.ndim, rp.ndim)   # pad the one with fewer axes, then put components first
-    order = (ndim - 1,) + tuple(range(ndim - 1))
-    r, rp = (a.reshape((1,) * (ndim - a.ndim) + a.shape).transpose(order) for a in (points, rp))
-    radius = green.geometry.radius
-    rr = r * r
-    r_norm = np.sqrt(rr[0] + rr[1] + rr[2])
-    pp = rp * rp
-    n2 = pp[0] + pp[1] + pp[2]
-    rp_norm = np.sqrt(n2)
-    mirror = np.array((1.0, 1.0, -1.0)).reshape((3,) + (1,) * (ndim - 1))   # exact reflection
-    if any(img.kind is not ImageKind.MIRROR for img in green.images):
-        kelvin = radius * radius / n2 * rp   # Kelvin inversion
-        kk = kelvin * kelvin
-        kelvin_norm = np.sqrt(kk[0] + kk[1] + kk[2])
-        kelvin_weight = radius / rp_norm
-
-    terms = []
-    degenerate = False
-    for img in green.images:
-        if img.kind is ImageKind.MIRROR:
-            loc, loc_norm, weight = rp * mirror, rp_norm, img.sign
-        else:
-            loc = kelvin if img.kind is ImageKind.KELVIN else kelvin * mirror
-            loc_norm, weight = kelvin_norm, img.sign * kelvin_weight
-        d = r - loc
-        dd = d * d
-        dist = np.sqrt(dd[0] + dd[1] + dd[2])
-        degenerate = degenerate | (dist <= _DEGENERATE_RTOL * np.maximum(r_norm, loc_norm))
-        terms.append((weight, dist))
-    if degenerate.any():
-        _reject_coincident(points, degenerate)
-
-    total = 0.0
-    for weight, dist in terms:
-        total = total + weight / dist
-    total = total / FOUR_PI
+    points = as_points(r)
+    r, rp = _components_first(points, as_points(r_prime))
+    w, loc, _ = _image_table(green, rp)
+    r_norm = np.sqrt(_dot(r, r))
+    _, dist = _distances(points, r, r_norm, loc)
+    total = sum(w / dist) / FOUR_PI   # image by image, in the order of the records
     if green.geometry.kind is GeometryKind.ISOLATED_SPHERE:
-        total = total + radius / (FOUR_PI * r_norm * rp_norm)
+        total = total + green.geometry.radius / (FOUR_PI * r_norm * np.sqrt(_dot(rp, rp)))
     return float(total) if scalar else total
 
 
@@ -200,33 +216,26 @@ def image_records(green: HomogeneousGreen, rp: np.ndarray, e: np.ndarray) -> tup
     to r cancels near the sphere.  The isolated sphere's neutrality term
     comes last: a charge R/|r'| at the centre, which does not move.
     """
-    neutral = green.geometry.kind is GeometryKind.ISOLATED_SPHERE
-    count = len(green.images) + neutral
-    w = np.empty((count,) + rp.shape[1:])
-    grad_w = np.zeros((3, count) + rp.shape[1:])
-    loc = np.zeros((3, count) + rp.shape[1:])
-    j_e = np.zeros((3, count) + np.broadcast(rp, e).shape[1:])
-    if green.geometry.kind is not GeometryKind.PLANE:   # Kelvin images
-        radius = green.geometry.radius
-        n2 = rp[0] * rp[0] + rp[1] * rp[1] + rp[2] * rp[2]
-        kelvin_w = radius / np.sqrt(n2)
-        kelvin_grad = -(kelvin_w / n2) * rp
-        f = radius * radius / n2
-        kelvin_loc = f * rp
-        kelvin_j_e = f * (e - 2.0 * (rp[0] * e[0] + rp[1] * e[1] + rp[2] * e[2]) / n2 * rp)
+    w, loc, f = _image_table(green, rp)
+    kelvin = [img.kind is not ImageKind.MIRROR for img in green.images]
+    grad_w = np.zeros((3,) + w.shape)
+    j_e = np.empty((3, len(kelvin)) + np.broadcast(rp, e).shape[1:])
+    if f is not None:   # the inversion's Jacobian, J = f (I - 2 r'r'^T/|r'|^2)
+        n2 = _dot(rp, rp)
+        kelvin_j_e = f * (e - 2.0 * _dot(rp, e) / n2 * rp)
     for k, img in enumerate(green.images):
-        if img.kind is ImageKind.MIRROR:
-            w[k], loc[:, k], j_e[:, k] = img.sign, rp, e
+        if kelvin[k]:
+            grad_w[:, k], j_e[:, k] = -(w[k] / n2) * rp, kelvin_j_e
         else:
-            w[k], grad_w[:, k] = img.sign * kelvin_w, img.sign * kelvin_grad
-            loc[:, k], j_e[:, k] = kelvin_loc, kelvin_j_e
+            j_e[:, k] = e
         if img.kind is not ImageKind.KELVIN:   # reflected in z = 0
-            loc[2, k] = -loc[2, k]
             j_e[2, k] = -j_e[2, k]
-    if neutral:
-        w[-1], grad_w[:, -1] = kelvin_w, kelvin_grad
-    kelvin = np.array([img.kind is not ImageKind.MIRROR for img in green.images] + [False] * neutral)
-    return w, grad_w, loc, j_e, kelvin
+    if green.geometry.kind is GeometryKind.ISOLATED_SPHERE:   # the Kelvin charge, reversed
+        w = np.concatenate([w, -w[:1]])
+        grad_w = np.concatenate([grad_w, -grad_w[:, :1]], axis=1)
+        loc, j_e = (np.concatenate([a, np.zeros_like(a[:, :1])], axis=1) for a in (loc, j_e))
+        kelvin.append(False)
+    return w, grad_w, loc, j_e, np.array(kelvin)
 
 
 def bc_residual(green: HomogeneousGreen, g: GeometryConfig, r_surface, r_prime):
@@ -245,32 +254,32 @@ def bc_residual(green: HomogeneousGreen, g: GeometryConfig, r_surface, r_prime):
     (grad' G + r'/(4*pi*|r'|^3)), with the gradient taken exactly from
     the image records: grad'[w/|u|] = grad_w/|u| + w J^T u/|u|^3 with
     u = r_s - loc, plus (r_s - r')/|r_s - r'|^3 from the direct term.
+
+    A surface point on the source or an image is rejected before any
+    division, naming the first one.
     """
     scalar = isinstance(r_surface, Position) and isinstance(r_prime, Position)
-    rs = as_points(r_surface)
-    rp = as_points(r_prime)
-    scale = g.radius if g.kind is not GeometryKind.PLANE else np.maximum(1.0, point_norms(rs))
-    if np.any(surface_deviation(g, rs) > _SURFACE_MEMBERSHIP_RTOL * scale):
+    points, source = as_points(r_surface), as_points(r_prime)
+    scale = g.radius if g.kind is not GeometryKind.PLANE else np.maximum(1.0, point_norms(points))
+    if np.any(surface_deviation(g, points) > _SURFACE_MEMBERSHIP_RTOL * scale):
         raise ValueError("r_surface does not lie on the conductor surface")
+    rs, rp = _components_first(points, source)
+    rs_norm = np.sqrt(_dot(rs, rs))
+    d, d_norm = _distances(points, rs, rs_norm, rp[:, None])   # the source, checked as an image
 
     if g.kind is not GeometryKind.ISOLATED_SPHERE:
-        residual = 1.0 / (FOUR_PI * point_norms(rs - rp)) + g_h(green, rs, rp)
+        residual = g_h(green, points, source) + 1.0 / (FOUR_PI * d_norm[0])
         return float(residual) if scalar else residual
 
-    # components first, as image_records takes them
-    rs, rp = (np.moveaxis(a, -1, 0) for a in np.broadcast_arrays(rs, rp))
-    d = rs - rp
-    d2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
-    grad = d / (d2 * np.sqrt(d2))
+    d = d[:, 0]
+    grad = d / (_dot(d, d) * d_norm[0])
     # the records along the axes e_j, so that component j of J^T u is u . (J e_j)
     axes = np.eye(3).reshape((3, 3) + (1,) * (rp.ndim - 1))
     w, grad_w, loc, j_e, _ = image_records(green, rp[:, None], axes)
-    u = rs[:, None] - loc[:, :, 0]                                  # (3, K, ...)
-    dist = np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
-    j_t_u = j_e[0] * u[0, :, None] + j_e[1] * u[1, :, None] + j_e[2] * u[2, :, None]
+    u, dist = _distances(points, rs, rs_norm, loc[:, :, 0])          # (3, K, ...), (K, ...)
     grad = grad + np.sum(grad_w[:, :, 0] / dist, axis=1)
-    grad = grad + np.sum(w * j_t_u / (dist * dist * dist)[:, None], axis=0)
-    n2 = rp[0] * rp[0] + rp[1] * rp[1] + rp[2] * rp[2]
+    grad = grad + np.sum(w * _dot(j_e, u[:, :, None]) / (dist * dist * dist)[:, None], axis=0)
+    n2 = _dot(rp, rp)
     residual = np.max(np.abs(grad + rp / (n2 * np.sqrt(n2))), axis=0) / FOUR_PI
     return float(residual) if scalar else residual
 

@@ -420,7 +420,19 @@ def test_scan_expansion3_method(tmp_path, capsys):
     "argv,needle",
     [
         # ZeroDivisionError in the closed form
-        (["energy", "--geometry", "plane", "--isotropic", "1e308", "--z0", "1e-300"], "division"),
+        (["energy", "--geometry", "plane", "--isotropic", "1e308", "--z0", "1e-300"],
+         "at rho0=0.0, z0=1e-300: float division by zero"),
+        # numpy's FloatingPointError in the G_H routes names the point, as a scan does
+        (["energy", "--geometry", "isphere", "--radius", "1", "--z0", "1e200", "--isotropic", "1",
+          "--method", "numeric"], "at rho0=0.0, z0=1e+200: overflow"),
+        (["energy", "--geometry", "isphere", "--radius", "1", "--z0", "1e200", "--isotropic", "1",
+          "--method", "oracle"], "at rho0=0.0, z0=1e+200: overflow"),
+        (["energy", "--geometry", "gsphere", "--radius", "1e300", "--z0", "1.0000000001e300",
+          "--isotropic", "1", "--method", "numeric"], "at rho0=0.0, z0=1.0000000001e+300: overflow"),
+        (["energy", "--geometry", "gsphere", "--radius", "1e300", "--z0", "1.0000000001e300",
+          "--isotropic", "1", "--method", "oracle"], "at rho0=0.0, z0=1.0000000001e+300: overflow"),
+        (["energy", "--geometry", "plane", "--z0", "1e160", "--isotropic", "1",
+          "--method", "numeric"], "at rho0=0.0, z0=1e+160: overflow"),
         # ExpansionWindowError, outside the window at the first point
         (
             ["scan", "--geometry", "gsphere", "--radius", "1", "--isotropic", "1",
@@ -455,7 +467,9 @@ def test_scan_expansion3_method(tmp_path, capsys):
             "vdwsurf: expansion3 energies of geometry 'bosshat' require isotropic variances",
         ),
     ],
-    ids=["closed-zero-division", "expansion-window", "degenerate-source", "scan-names-x",
+    ids=["closed-zero-division", "numeric-isphere-overflow", "oracle-isphere-overflow",
+         "numeric-gsphere-overflow", "oracle-gsphere-overflow", "numeric-plane-overflow",
+         "expansion-window", "degenerate-source", "scan-names-x",
          "unallocatable-grid", "anisotropic-gsphere-expansion3",
          "anisotropic-bosshat-expansion3"],
 )

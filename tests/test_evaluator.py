@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vdwsurf.errors import RegionError
+from vdwsurf.errors import DegenerateSourceError, RegionError
 from vdwsurf.evaluator import energy_numeric
 from vdwsurf.geometry import (
     DipoleVariances,
@@ -24,6 +24,7 @@ from vdwsurf.geometry import (
     surface_distance,
 )
 from vdwsurf.images import build_green, g_h
+from vdwsurf.oracle import extrapolated_energy
 from vdwsurf.closed import (
     u_bosshat_corrected,
     u_grounded_sphere,
@@ -287,3 +288,12 @@ def test_energy_numeric_grid_rejects_any_point_outside():
     grid = np.array([(0.0, 0.0, 2.0), (0.0, 0.0, 0.9), (0.0, 0.0, 3.0)])
     with pytest.raises(RegionError):
         energy_numeric(g, ISO, grid)
+
+
+@pytest.mark.parametrize("route", [energy_numeric, extrapolated_energy], ids=["numeric", "oracle"])
+def test_both_routes_name_the_first_coincident_point_of_a_batch(route):
+    # points 3 and 4 lie 2e-17 from their mirror images, well within the rule
+    points = np.array([(0.0, 0.0, 1.0), (1.0, 0.0, 1.0), (1.0, 0.0, 1e-17), (2.0, 0.0, 1e-17)])
+    with np.errstate(all="raise"):
+        with pytest.raises(DegenerateSourceError, match=r"field point \(1\.0, 0\.0, 1e-17\)"):
+            route(GeometryConfig.plane(), ISO, points)

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -393,6 +394,37 @@ def test_bc_residual_arrays_equal_per_pair_calls(config):
     assert batch.tolist() == [
         bc_residual(green, config, Position(*rs), rp) for rs, rp in zip(surface.tolist(), sources)
     ]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [GeometryConfig.grounded_sphere(1.0), GeometryConfig.isolated_sphere(1.0)],
+    ids=["gsphere", "isphere"],
+)
+@pytest.mark.parametrize(
+    "surface,source",
+    [
+        # the source on the surface point, which is its own Kelvin image
+        ((0.6, 0.0, 0.8), (0.6, 0.0, 0.8)),
+        # an ulp outside it: the image lies an ulp inside, within the rule
+        ((0.6, 0.0, 0.8), (0.6, 0.0, 0.8000000000000002)),
+        # a point 1e-10 off the sphere, within the surface tolerance: the
+        # source coincides with it, its image lies 2e-10 away
+        ((0.6 * (1 + 1e-10), 0.0, 0.8 * (1 + 1e-10)),) * 2,
+    ],
+    ids=["on-image", "ulp-off-image", "on-source-only"],
+)
+def test_bc_residual_names_a_surface_point_on_the_source_or_an_image(config, surface, source):
+    green = build_green(config)
+    named = re.escape("field point ({}, {}, {})".format(*surface))
+    with np.errstate(all="raise"):
+        with pytest.raises(DegenerateSourceError, match=named):
+            bc_residual(green, config, Position(*surface), Position(*source))
+        # the first of two such points of a batch
+        sources = np.array([(0.4, -0.9, 1.9), source, (0.0, 1.0, 0.0)])
+        surfaces = np.array([(0.0, 0.0, 1.0), surface, (0.0, 1.0, 0.0)])
+        with pytest.raises(DegenerateSourceError, match=named):
+            bc_residual(green, config, surfaces, sources)
 
 
 def _surface_sample_reference(g, n, rng_seed, extent=10.0):
