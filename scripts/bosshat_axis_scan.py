@@ -10,8 +10,7 @@ import math
 
 import numpy as np
 
-from vdwsurf import DipoleVariances, VarianceFrame
-from vdwsurf._errata import u_bosshat
+from vdwsurf import DipoleVariances, GeometryConfig, VarianceFrame, energy_closed
 
 
 def main() -> None:
@@ -25,10 +24,10 @@ def main() -> None:
 
     variances = DipoleVariances(0.0, 0.0, 1.0, VarianceFrame.CYLINDRICAL_LOCAL)
     ratios = np.linspace(args.lo, args.hi, args.points)
-    values = [
-        u_bosshat(variances, 0.0, r * args.radius, args.radius).value * args.radius**3
-        for r in ratios
-    ]
+    axis = np.zeros((args.points, 3))
+    axis[:, 2] = ratios * args.radius
+    energies = energy_closed(GeometryConfig.boss_hat(args.radius), variances, axis).value
+    values = (energies * args.radius**3).tolist()
 
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("z0_over_R,U_times_R3\n")

@@ -14,11 +14,11 @@ import numpy as np
 from vdwsurf import (
     DipoleVariances,
     VarianceFrame,
+    u_bosshat_corrected,
     u_bosshat_expansion3,
     u_grounded_sphere,
     u_sphere_expansion3,
 )
-from vdwsurf._errata import u_bosshat
 
 
 def main() -> None:
@@ -37,7 +37,7 @@ def main() -> None:
         z0 = 1.0 + s
         exact_sphere = u_grounded_sphere(1.0, z0, 1.0).value
         exp_sphere = u_sphere_expansion3(1.0, z0, 1.0).value
-        exact_bh = u_bosshat(iso_cyl, 0.0, z0, 1.0).value
+        exact_bh = u_bosshat_corrected(iso_cyl, 0.0, z0, 1.0).value
         exp_bh = u_bosshat_expansion3(1.0, z0, 1.0).value
         rows.append((s, exact_sphere, exp_sphere, exact_bh, exp_bh))
 

@@ -8,9 +8,9 @@ vdwsurf.closed.xi_factors_corrected, which the package uses.  On the
 axis the two forms agree to rounding.  This module keeps the
 transcription, and the cylindrical radical form of the boss-hat G_H
 that cross-checks the Cartesian image distances, so that the tests and
-scripts can demonstrate the discrepancy.  Nothing in the package's
-computations calls it except the validate report, whose limits and
-threeway legs were recorded with it.
+scripts/certify_transcription.py can demonstrate the discrepancy.  No
+computation of the package calls it: vdwsurf.validate imports u_bosshat
+only so that the benchmark's tracer finds the name it wraps there.
 """
 
 from __future__ import annotations

@@ -167,16 +167,20 @@ def local_axes(
     axes[i, m] being the m-th unit vector at point i: the identity in
     the Cartesian frame.  The cylindrical axes are built from
     (cos phi, sin phi) = (x, y)/rho, (1, 0) on the axis, by the same
-    array operations for a Position and an array.
+    array operations for a Position and an array.  Below the normal
+    range x and y are first scaled by 2^600, exactly, as their ratios
+    to a subnormal rho are not unit.
     """
     points = as_points(p).reshape(-1, 3)
     axes = np.repeat(np.eye(3)[None], len(points), axis=0)
     if frame is VarianceFrame.CYLINDRICAL_LOCAL:
-        rho = np.hypot(points[:, 0], points[:, 1])
+        scale = np.where(np.hypot(points[:, 0], points[:, 1]) < np.finfo(float).tiny, 2.0**600, 1.0)
+        x, y = points[:, 0] * scale, points[:, 1] * scale
+        rho = np.hypot(x, y)
         on_axis = rho == 0.0
         rho = np.where(on_axis, 1.0, rho)
-        c = np.where(on_axis, 1.0, points[:, 0] / rho)
-        s = np.where(on_axis, 0.0, points[:, 1] / rho)
+        c = np.where(on_axis, 1.0, x / rho)
+        s = np.where(on_axis, 0.0, y / rho)
         axes[:, 0, 0], axes[:, 0, 1], axes[:, 1, 0], axes[:, 1, 1] = c, s, -s, c
     if isinstance(p, Position):
         return tuple(tuple(row) for row in axes[0].tolist())

@@ -238,8 +238,8 @@ def image_records(green: HomogeneousGreen, rp: np.ndarray, e: np.ndarray) -> tup
     return w, grad_w, loc, j_e, np.array(kelvin)
 
 
-def bc_residual(green: HomogeneousGreen, g: GeometryConfig, r_surface, r_prime):
-    """Boundary-condition residual at surface points.
+def bc_residual(green: HomogeneousGreen, r_surface, r_prime):
+    """Boundary-condition residual at surface points of green.geometry.
 
     r_surface and r_prime are Positions, giving a float, or arrays of
     points of shape (..., 3) that broadcast together, giving an array.
@@ -258,6 +258,7 @@ def bc_residual(green: HomogeneousGreen, g: GeometryConfig, r_surface, r_prime):
     A surface point on the source or an image is rejected before any
     division, naming the first one.
     """
+    g = green.geometry
     scalar = isinstance(r_surface, Position) and isinstance(r_prime, Position)
     points, source = as_points(r_surface), as_points(r_prime)
     scale = g.radius if g.kind is not GeometryKind.PLANE else np.maximum(1.0, point_norms(points))

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,15 +58,6 @@ _ROUNDING = 8.0 * np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 
-@dataclass(frozen=True)
-class FiniteDipole:
-    """Two point charges +q at center and -q at center + h_vec."""
-
-    q: float
-    h_vec: tuple[float, float, float]
-    center: Position
-
-
 def _pair_energies(
     green: HomogeneousGreen,
     pair: np.ndarray,
@@ -89,15 +79,6 @@ def _pair_energies(
     # q^2/(2 eps0) written via 4*pi*eps0 so reduced mode stays exact.
     factor = q_squared * (2.0 * math.pi / units.four_pi_epsilon0)
     return factor * combination, factor * size
-
-
-def finite_dipole_energy(
-    g: GeometryConfig, fd: FiniteDipole, units: UnitSystem = _REDUCED
-) -> float:
-    """Image-interaction energy of a finite two-charge dipole."""
-    base = as_points(fd.center)
-    pair = np.stack([base, base + np.asarray(fd.h_vec, dtype=float)])
-    return float(_pair_energies(build_green(g), pair, fd.q**2, units)[0])
 
 
 @functools.lru_cache(maxsize=None)

@@ -8,7 +8,7 @@ except ImportError:   # the referee tests skip
     mpmath = None
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vdwsurf.errors import DegenerateSourceError, RegionError
@@ -238,6 +238,7 @@ def test_numeric_matches_sphere_closed_forms(ratio):
     phi=st.floats(-math.pi, math.pi),
 )
 @settings(max_examples=40, deadline=None)
+@example(rho0=5e-324, z0=1.0, phi=1.0)   # subnormal x and y: the azimuth's (cos, sin) was (1, 1)
 def test_numeric_bosshat_is_azimuth_invariant_and_matches_corrected(rho0, z0, phi):
     if math.hypot(rho0, z0) < 1.15:
         z0 = math.sqrt(1.15**2 - rho0**2) + 0.05

@@ -181,14 +181,14 @@ def test_grounded_bc_vanishes_on_sampled_surface(config, sources):
     green = build_green(config)
     surface = surface_sample(config, 64, rng_seed=7)
     for rp in sources:
-        assert np.all(np.abs(bc_residual(green, config, surface, as_points(rp))) < 1e-11)
+        assert np.all(np.abs(bc_residual(green, surface, as_points(rp))) < 1e-11)
 
 
 def test_bc_residual_rejects_off_surface_point():
     config = GeometryConfig.grounded_sphere(1.0)
     green = build_green(config)
     with pytest.raises(ValueError):
-        bc_residual(green, config, Position(0, 0, 1.5), Position(0, 0, 2.0))
+        bc_residual(green, Position(0, 0, 1.5), Position(0, 0, 2.0))
 
 
 def test_isolated_bc_gradient_condition():
@@ -196,7 +196,7 @@ def test_isolated_bc_gradient_condition():
     green = build_green(config)
     surface = surface_sample(config, 32, rng_seed=3)
     rp = as_points(Position(0.4, -0.9, 1.9))
-    assert np.all(np.abs(bc_residual(green, config, surface, rp)) < 1e-9)
+    assert np.all(np.abs(bc_residual(green, surface, rp)) < 1e-9)
 
 
 @pytest.mark.parametrize(
@@ -390,9 +390,9 @@ def test_bc_residual_arrays_equal_per_pair_calls(config):
     green = build_green(config)
     surface = surface_sample(config, 40, rng_seed=11)
     sources = [Position(0.4, -0.9, 1.9), Position(-2.0, 0.1, 0.3)] * 20
-    batch = bc_residual(green, config, surface, np.array([(p.x, p.y, p.z) for p in sources]))
+    batch = bc_residual(green, surface, np.array([(p.x, p.y, p.z) for p in sources]))
     assert batch.tolist() == [
-        bc_residual(green, config, Position(*rs), rp) for rs, rp in zip(surface.tolist(), sources)
+        bc_residual(green, Position(*rs), rp) for rs, rp in zip(surface.tolist(), sources)
     ]
 
 
@@ -419,12 +419,12 @@ def test_bc_residual_names_a_surface_point_on_the_source_or_an_image(config, sur
     named = re.escape("field point ({}, {}, {})".format(*surface))
     with np.errstate(all="raise"):
         with pytest.raises(DegenerateSourceError, match=named):
-            bc_residual(green, config, Position(*surface), Position(*source))
+            bc_residual(green, Position(*surface), Position(*source))
         # the first of two such points of a batch
         sources = np.array([(0.4, -0.9, 1.9), source, (0.0, 1.0, 0.0)])
         surfaces = np.array([(0.0, 0.0, 1.0), surface, (0.0, 1.0, 0.0)])
         with pytest.raises(DegenerateSourceError, match=named):
-            bc_residual(green, config, surfaces, sources)
+            bc_residual(green, surfaces, sources)
 
 
 def _surface_sample_reference(g, n, rng_seed, extent=10.0):

@@ -24,11 +24,9 @@ from vdwsurf.images import build_green
 from vdwsurf.oracle import (
     _FIT_RTOL,
     DEFAULT_H_FRACTIONS,
-    FiniteDipole,
     _fit_map,
     _pair_energies,
     extrapolated_energy,
-    finite_dipole_energy,
 )
 from vdwsurf.units import UnitSystem
 from vdwsurf.closed import (
@@ -44,27 +42,29 @@ ISO = DipoleVariances.isotropic(1.0)
 ISO_CYL = DipoleVariances.isotropic(1.0, VarianceFrame.CYLINDRICAL_LOCAL)
 
 
+def _pair_energy(g, q, base, tip):
+    """Image energy of +q at base and -q at tip, one explicit (2, 3) charge pair."""
+    pair = np.array([base, tip], dtype=float)
+    return float(_pair_energies(build_green(g), pair, q**2, UnitSystem.reduced())[0])
+
+
 def test_zero_extent_dipole_has_zero_energy():
     g = GeometryConfig.plane()
-    fd = FiniteDipole(q=1.0, h_vec=(0.0, 0.0, 0.0), center=Position(0, 0, 1))
-    assert finite_dipole_energy(g, fd) == 0.0
+    assert _pair_energy(g, 1.0, (0.0, 0.0, 1.0), (0.0, 0.0, 1.0)) == 0.0
 
 
 def test_finite_dipole_energy_scales_with_charge_squared():
     g = GeometryConfig.grounded_sphere(1.0)
-    one = FiniteDipole(q=1.0, h_vec=(0.0, 0.0, 0.01), center=Position(0, 0, 2))
-    three = FiniteDipole(q=3.0, h_vec=(0.0, 0.0, 0.01), center=Position(0, 0, 2))
-    assert finite_dipole_energy(g, three) == pytest.approx(
-        9.0 * finite_dipole_energy(g, one), rel=1e-13
-    )
+    one = _pair_energy(g, 1.0, (0.0, 0.0, 2.0), (0.0, 0.0, 2.0 + 0.01))
+    three = _pair_energy(g, 3.0, (0.0, 0.0, 2.0), (0.0, 0.0, 2.0 + 0.01))
+    assert three == pytest.approx(9.0 * one, rel=1e-13)
 
 
 def test_finite_dipole_rejects_charge_outside_region():
     g = GeometryConfig.plane()
     # tip at z = -0.3 pokes through the conductor
-    fd = FiniteDipole(q=1.0, h_vec=(0.0, 0.0, -0.4), center=Position(0, 0, 0.1))
     with pytest.raises(RegionError):
-        finite_dipole_energy(g, fd)
+        _pair_energy(g, 1.0, (0.0, 0.0, 0.1), (0.0, 0.0, 0.1 - 0.4))
 
 
 def test_finite_size_correction_is_quadratic_for_centered_pairs():
@@ -74,10 +74,8 @@ def test_finite_size_correction_is_quadratic_for_centered_pairs():
     hs = np.array([4e-3, 2e-3, 1e-3, 5e-4])
     devs = []
     for h in hs:
-        fd = FiniteDipole(
-            q=1.0 / h, h_vec=(0.0, 0.0, h), center=Position(0, 0, z0 - 0.5 * h)
-        )
-        devs.append(abs(finite_dipole_energy(g, fd) - limit))
+        base = z0 - 0.5 * h
+        devs.append(abs(_pair_energy(g, 1.0 / h, (0.0, 0.0, base), (0.0, 0.0, base + h)) - limit))
     slope = np.polyfit(np.log(hs), np.log(devs), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.1)
 
@@ -91,8 +89,7 @@ def test_uncentered_placement_degrades_to_linear_error():
     hs = np.array([4e-3, 2e-3, 1e-3, 5e-4])
     devs = []
     for h in hs:
-        fd = FiniteDipole(q=1.0 / h, h_vec=(0.0, 0.0, h), center=Position(0, 0, z0))
-        devs.append(abs(finite_dipole_energy(g, fd) - limit))
+        devs.append(abs(_pair_energy(g, 1.0 / h, (0.0, 0.0, z0), (0.0, 0.0, z0 + h)) - limit))
     slope = np.polyfit(np.log(hs), np.log(devs), 1)[0]
     assert slope == pytest.approx(1.0, abs=0.1)
 
@@ -101,8 +98,8 @@ def test_centered_plane_dipole_matches_exact_finite_formula():
     # centered vertical pair above a plane has the closed value
     # -q^2 h^2/(32 pi eps0 z0^3) / (1 - h^2/(4 z0^2))
     z0, h = 1.0, 0.25
-    fd = FiniteDipole(q=1.0 / h, h_vec=(0.0, 0.0, h), center=Position(0, 0, z0 - 0.5 * h))
-    got = finite_dipole_energy(GeometryConfig.plane(), fd)
+    base = z0 - 0.5 * h
+    got = _pair_energy(GeometryConfig.plane(), 1.0 / h, (0.0, 0.0, base), (0.0, 0.0, base + h))
     want = -1.0 / (8.0 * z0**3) / (1.0 - h**2 / (4.0 * z0**2))
     assert got == pytest.approx(want, rel=1e-12)
 

@@ -1,7 +1,9 @@
 """The package namespace is the documented API: vdwsurf.__all__ equals
-the README's Public API list, and the transcribed boss-hat forms live
-in vdwsurf._errata only."""
+the README's Public API list, the transcribed boss-hat forms live
+in vdwsurf._errata only, and every name the benchmark's tracer wraps
+resolves."""
 
+import importlib
 import pathlib
 import re
 
@@ -12,7 +14,8 @@ import vdwsurf._errata
 import vdwsurf.closed
 import vdwsurf.images
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 MOVED_TO_ERRATA = ("u_bosshat", "xi_factors", "bosshat_radicals", "g_h_bosshat_cylindrical")
 
@@ -50,3 +53,16 @@ def test_transcribed_forms_live_in_errata_only(name):
     for module in (vdwsurf, vdwsurf.closed, vdwsurf.images):
         with pytest.raises(AttributeError):
             getattr(module, name)
+
+
+def test_every_name_the_tracer_wraps_resolves(monkeypatch):
+    # perfbench/tracer.py is imported as it stands, with perfbench/ on the path as it expects
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    missing = [
+        f"{module}.{attr}"
+        for module, attrs in tracer.BINDINGS.items()
+        for attr in attrs
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert missing == []

@@ -122,3 +122,34 @@ def test_reports_equal_those_of_the_loop_samplers(seed, monkeypatch):
 def test_suites_reject_fewer_than_one_pair(suite, n_pairs):
     with pytest.raises(ValueError, match=f"^n_pairs must be >= 1, not {n_pairs}$"):
         suite(seed=0, n_pairs=n_pairs)
+
+
+def test_bosshat_energy_plane_limit_is_exact_in_the_corrected_form():
+    # the transcribed factors gave 2.058e-09 here, their off-axis error
+    check = next(c for c in suite_limits().checks if c.name.startswith("bosshat energy"))
+    assert check.name == "bosshat energy reduces to plane at R=1e-6"
+    assert check.residual < 1e-12, check.line()
+
+
+def test_reports_never_call_the_transcribed_form(monkeypatch):
+    def transcribed(*args, **kwargs):
+        raise AssertionError("validate called vdwsurf._errata.u_bosshat")
+
+    monkeypatch.setattr(validate, "u_bosshat", transcribed)
+    reports = run_all(0)
+    assert all(r.passed for r in reports), "\n".join(line for r in reports for line in r.lines())
+
+
+def test_threeway_reads_each_route_from_the_module_at_call_time(monkeypatch):
+    calls = []
+
+    def counted(name, route):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return route(*args, **kwargs)
+        return wrapper
+
+    for name in ("energy_closed", "energy_numeric", "extrapolated_energy"):
+        monkeypatch.setattr(validate, name, counted(name, getattr(validate, name)))
+    assert suite_threeway().passed
+    assert sorted(calls) == sorted(["energy_closed", "energy_numeric", "extrapolated_energy"] * 5)
