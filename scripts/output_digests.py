@@ -7,7 +7,9 @@ One `name sha256` line per output: the scan CSV of each geometry, route
 `validate --suite all` at each of four seeds.  The sweeps are a bulk z0
 sweep, a bulk rho0 sweep, a near-contact z0 sweep on a log grid from a
 gap of 1e-6 R, and a near-contact rho0 sweep that starts at the boss
-hat's rim.  Two checkouts print the same lines exactly where their
+hat's rim.  The near-contact z0 sweep runs once more with each
+`--normalize` scale that the geometry defines: a3, and R3 but for the
+plane.  Two checkouts print the same lines exactly where their
 outputs agree byte for byte, so `diff` of two runs names every output a
 change moved.  Exits 1, naming the output, if a command does not exit 0.
 """
@@ -48,13 +50,17 @@ GEOMETRIES = {
 }
 METHODS = ("closed", "numeric", "oracle")
 SEEDS = (0, 1, 12345, 5864892553)
+NORMALIZED = "near-z0"   # the sweep also scanned with each --normalize scale
 
 
 def outputs(workdir: str):
     """(name, argv, path of the output file or None for standard output)."""
     for geometry, (flags, sweeps) in GEOMETRIES.items():
         for method in METHODS:
-            for sweep, sweep_flags in sweeps.items():
+            scans = list(sweeps.items())
+            scans += [(f"{NORMALIZED}-{scale}", [*sweeps[NORMALIZED], "--normalize", scale])
+                      for scale in (("a3",) if geometry == "plane" else ("R3", "a3"))]
+            for sweep, sweep_flags in scans:
                 name = f"scan-{geometry}-{method}-{sweep}"
                 path = os.path.join(workdir, name + ".csv")
                 argv = ["scan", *flags, "--method", method, "--isotropic", "1",

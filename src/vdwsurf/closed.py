@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -49,21 +48,26 @@ _REDUCED = UnitSystem.reduced()
 SPHERE_EXPANSION_C3 = -0.875    # -7/8
 BOSSHAT_EXPANSION_C3 = -0.375   # -3/8
 
-# The forms below take floats or 1-D arrays of equal length.  Arrays go
-# through operators and these three helpers only, which give each
-# element the bits of the float computation.
+# The forms below take floats or 1-D arrays of equal length and give an
+# array the bits of its floats: np.float_power calls the C pow of Python's
+# ** (np.power may differ in the last bit), np.sqrt rounds correctly as
+# math.sqrt does, and _hypot maps math.hypot (np.hypot may differ).
 
 
 def _power(x, n: int):
-    """x**n by Python's ** (the C pow), element by element on an array:
-    numpy's power differs in the last bit for some inputs (5% of cubes)."""
+    """x**n, raising OverflowError as ** does."""
     if isinstance(x, np.ndarray):
-        return np.fromiter(map(pow, x.tolist(), repeat(n)), float, len(x))
+        with np.errstate(all="ignore"):
+            y = np.float_power(x, n)
+        over = np.isinf(y)
+        if over.any() and np.isfinite(x[over]).any():
+            raise OverflowError(f"x**{n} out of float range")
+        return y
     return x**n
 
 
 def _hypot(x, *coords):
-    """math.hypot, point by point on arrays: np.hypot may differ."""
+    """math.hypot, point by point on arrays."""
     if isinstance(x, np.ndarray):
         columns = (c.tolist() for c in (x, *coords))
         return np.fromiter(map(math.hypot, *columns), float, len(x))
@@ -71,7 +75,7 @@ def _hypot(x, *coords):
 
 
 def _sqrt(x):
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)   # both correctly rounded
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
 def u_plane(
@@ -274,14 +278,14 @@ def energy_closed(
     try:
         if g.kind is GeometryKind.PLANE:
             result = u_plane(v, z, units)
-        elif g.kind is GeometryKind.BOSS_HAT and v.frame is VarianceFrame.CARTESIAN:
-            e_rho = np.asarray(local_axes(VarianceFrame.CYLINDRICAL_LOCAL, r0))[..., 0, :]
-            c2, s2 = e_rho[..., 0] ** 2, e_rho[..., 1] ** 2
-            m = (v.m1 * c2 + v.m2 * s2, v.m1 * s2 + v.m2 * c2, v.m3)
+        elif g.kind is GeometryKind.BOSS_HAT:
+            m = (v.m1, v.m2, v.m3)
+            if v.frame is VarianceFrame.CARTESIAN:
+                e_rho = np.asarray(local_axes(VarianceFrame.CYLINDRICAL_LOCAL, r0))[..., 0, :]
+                c2, s2 = e_rho[..., 0] ** 2, e_rho[..., 1] ** 2
+                m = (v.m1 * c2 + v.m2 * s2, v.m1 * s2 + v.m2 * c2, v.m3)
             xi = xi_factors_corrected(g.radius, _hypot(x, y), z)
             result = EnergyResult(_u_from_xi(m, z, xi, units), 0.0, Method.CLOSED_FORM, units.mode)
-        elif g.kind is GeometryKind.BOSS_HAT:
-            result = u_bosshat_corrected(v, _hypot(x, y), z, g.radius, units)
         else:
             form = u_grounded_sphere if g.kind is GeometryKind.GROUNDED_SPHERE else u_isolated_sphere
             result = form(isotropic_total(v), _hypot(x, y, z), g.radius, units)

@@ -285,16 +285,17 @@ def bc_residual(green: HomogeneousGreen, r_surface, r_prime):
     return float(residual) if scalar else residual
 
 
-def surface_sample(
-    g: GeometryConfig, n: int, rng_seed: int, extent: float = 10.0
-) -> np.ndarray:
+_EXTENT = 10.0   # radius at which surface_sample truncates the plane and the brim
+
+
+def surface_sample(g: GeometryConfig, n: int, rng_seed: int) -> np.ndarray:
     """n deterministic pseudo-random points on the conductor surface, as
     an (n, 3) array.
 
-    Plane: uniform over a disk of the given radius (extent).  Spheres:
-    uniform over the full sphere.  Boss hat: hemisphere plus the annulus
-    z=0, R < rho <= extent, split proportional to area.  The unbounded
-    supports are truncated at extent because boundary-condition
+    Plane: uniform over a disk of radius _EXTENT.  Spheres: uniform over
+    the full sphere.  Boss hat: hemisphere plus the annulus z=0,
+    R < rho <= _EXTENT, split proportional to area.  The unbounded
+    supports are truncated at _EXTENT because boundary-condition
     residuals decay with distance.
     """
     if n < 1:
@@ -320,12 +321,12 @@ def surface_sample(
         return v
 
     if g.kind is GeometryKind.PLANE:
-        return disk(n, 0.0, extent)
+        return disk(n, 0.0, _EXTENT)
     if g.kind in (GeometryKind.GROUNDED_SPHERE, GeometryKind.ISOLATED_SPHERE):
         return sphere(n, hemisphere=False)
 
     area_hemisphere = 2.0 * math.pi * g.radius**2
-    outer = max(extent, g.radius)
+    outer = max(_EXTENT, g.radius)
     area_annulus = math.pi * (outer**2 - g.radius**2)
     n_hemisphere = int(round(n * area_hemisphere / (area_hemisphere + area_annulus)))
     n_hemisphere = min(max(n_hemisphere, 1), n)

@@ -138,9 +138,9 @@ def extrapolated_energy(
     np.subtract(points.T[:, None, :, None], base, out=base)       # centered pairs
     np.multiply(h_values, e, out=tip)
     np.add(base, tip, out=tip)
-    q = np.array([math.sqrt(weights[m]) for m in active])[:, None, None] / h_values
-    with np.errstate(over="ignore"):   # float_power is the C library pow, as Python's ** is;
-        q_squared = np.float_power(q, 2.0)   # numpy's power may round differently
+    q = np.sqrt(np.array(weights)[active])[:, None, None] / h_values
+    with np.errstate(over="ignore"):   # the C pow of Python's **, as in vdwsurf.closed
+        q_squared = np.float_power(q, 2.0)
     if (np.isinf(q_squared) & np.isfinite(q)).any():
         raise OverflowError("finite-dipole charge squared q^2 = <d_m^2>/h^2 overflows")
     pair = charges.transpose(1, 2, 3, 4, 0)                       # components-last views
@@ -157,10 +157,8 @@ def extrapolated_energy(
         raise ExtrapolationError(f"finite-dipole extrapolation failed to converge on axis {axis}")
     spread = np.abs(fit_map[0]) * (1.0 + np.array(fractions) * (point_norms(points) / ell)[:, None])
     err_axis = err_fit + _ROUNDING * np.add.reduce(np.maximum(spread * size, _TINY), axis=-1)
-    total = err_total = np.zeros(len(points))
-    for k in range(len(active)):   # axis by axis, in the order of the per-point sums
-        total = total + a0[k]
-        err_total = err_total + err_axis[k]
+    total = np.add.reduce(a0, axis=0, initial=0.0)   # axis by axis, as the per-point sums
+    err_total = np.add.reduce(err_axis, axis=0, initial=0.0)
     if isinstance(r0, Position):
         return EnergyResult(float(total[0]), float(err_total[0]), Method.ORACLE, units.mode)
     return EnergyResult(total, err_total, Method.ORACLE, units.mode)

@@ -34,6 +34,7 @@ from .oracle import extrapolated_energy
 
 _ISO = DipoleVariances.isotropic(1.0)
 _ISO_CYL = DipoleVariances.isotropic(1.0, VarianceFrame.CYLINDRICAL_LOCAL)
+_PAIRS = 1000   # source and surface points per geometry of the bc and symmetry suites
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ def _sources_for(g: GeometryConfig, rng: np.random.Generator, n: int) -> np.ndar
     return _sources_sphere(rng, n, g.radius)
 
 
-def suite_bc(seed: int = 0, n_pairs: int = 1000) -> SuiteReport:
+def suite_bc(seed: int = 0) -> SuiteReport:
     """Boundary condition on the conductor surface.
 
     Grounded geometries: the full Green function must vanish on S.
@@ -134,14 +135,12 @@ def suite_bc(seed: int = 0, n_pairs: int = 1000) -> SuiteReport:
     S must equal -r'/(4*pi*|r'|^3), the gradient taken exactly from the
     image records; this check keeps the looser tolerance 1e-9.
     """
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be >= 1, not {n_pairs!r}")
     checks = []
     for offset, (name, g) in enumerate(_GROUNDED):
         rng = np.random.default_rng(seed + 1000 * offset)
         green = build_green(g)
-        sources = _sources_for(g, rng, n_pairs)
-        surface = surface_sample(g, n_pairs, seed + 1000 * offset + 7)
+        sources = _sources_for(g, rng, _PAIRS)
+        surface = surface_sample(g, _PAIRS, seed + 1000 * offset + 7)
         worst = float(np.max(np.abs(bc_residual(green, surface, sources))))
         checks.append(_check(f"dirichlet residual {name}", worst, 1e-11))
 
@@ -155,16 +154,14 @@ def suite_bc(seed: int = 0, n_pairs: int = 1000) -> SuiteReport:
     return SuiteReport("bc", tuple(checks))
 
 
-def suite_symmetry(seed: int = 0, n_pairs: int = 1000) -> SuiteReport:
+def suite_symmetry(seed: int = 0) -> SuiteReport:
     """G_H(r, r') = G_H(r', r) for the grounded geometries."""
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be >= 1, not {n_pairs!r}")
     checks = []
     for offset, (name, g) in enumerate(_GROUNDED):
         rng = np.random.default_rng(seed + 100 + 1000 * offset)
         green = build_green(g)
-        left = _sources_for(g, rng, n_pairs)
-        right = _sources_for(g, rng, n_pairs)
+        left = _sources_for(g, rng, _PAIRS)
+        right = _sources_for(g, rng, _PAIRS)
         a = g_h(green, left, right)
         b = g_h(green, right, left)
         worst = float(np.max(np.abs(a - b) / np.abs(a)))

@@ -227,7 +227,7 @@ def test_criterion_05c_companion_certified_constant(capsys):
 
 
 def test_criterion_06_dirichlet_bc(capsys):
-    report = suite_bc(seed=0, n_pairs=1000)
+    report = suite_bc(seed=0)
     grounded = [c for c in report.checks if c.name.startswith("dirichlet")]
     worst = max(c.residual for c in grounded)
     ok = len(grounded) == 3 and worst < 1e-11
@@ -240,7 +240,7 @@ def test_criterion_06_dirichlet_bc(capsys):
 
 
 def test_criterion_07_green_symmetry(capsys):
-    report = suite_symmetry(seed=0, n_pairs=1000)
+    report = suite_symmetry(seed=0)
     worst = max(c.residual for c in report.checks)
     ok = report.passed and worst < 1e-11
     announce(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vdwsurf import closed
 from vdwsurf.errors import ContactError, ExpansionWindowError, RegionError
 from vdwsurf._errata import u_bosshat, xi_factors
 from vdwsurf.evaluator import energy_numeric
@@ -370,3 +371,33 @@ def test_energy_closed_names_the_first_point_out_of_float_range(g, far):
     points = np.array([(0.3, 0.0, 2.0), far, (0.0, 0.0, 3.0), far])
     with pytest.raises(OverflowError, match=re.escape(named)):
         energy_closed(g, v, points)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_float_power_is_pythons_power_bit_for_bit(n):
+    # The closed forms, the scan's normalisation and the oracle give a batch
+    # its scalar bits through np.float_power: this holds while numpy calls
+    # the C pow that Python's ** calls, not a vectorised loop of its own.
+    rng = np.random.default_rng(n)
+    edge = 1.7976931348623157e308 ** (1.0 / n)   # ** overflows from about here
+    x = np.concatenate([
+        np.exp(rng.uniform(math.log(1e-320), math.log(1.7e308), 200_000)),
+        edge * (1.0 + np.arange(-64, 65) * np.finfo(float).eps),
+    ])
+    want, raised = [], []
+    for base in x.tolist():
+        try:
+            want.append(base**n)
+            raised.append(False)
+        except OverflowError:   # where ** raises, float_power gives inf
+            want.append(math.inf)
+            raised.append(True)
+    raised = np.array(raised)
+    assert raised.any() and not raised.all()
+    with np.errstate(over="ignore"):
+        got = np.float_power(x, n)
+    differ = np.flatnonzero(got.view(np.int64) != np.array(want).view(np.int64))
+    assert not differ.size, [(x[i].hex(), got[i].hex(), want[i].hex()) for i in differ[:5]]
+    assert closed._power(x[~raised], n).tobytes() == got[~raised].tobytes()
+    with pytest.raises(OverflowError):
+        closed._power(x, n)

@@ -222,7 +222,7 @@ def test_surface_sample_membership_and_determinism(config):
 
 def test_bosshat_sample_covers_boss_and_brim():
     config = GeometryConfig.boss_hat(1.0)
-    pts = [Position(*p) for p in surface_sample(config, 400, rng_seed=5, extent=4.0).tolist()]
+    pts = [Position(*p) for p in surface_sample(config, 400, rng_seed=5).tolist()]
     on_boss = [p for p in pts if p.z > 1e-9]
     on_brim = [p for p in pts if p.z <= 1e-9]
     assert on_boss and on_brim
@@ -427,7 +427,7 @@ def test_bc_residual_names_a_surface_point_on_the_source_or_an_image(config, sur
             bc_residual(green, surfaces, sources)
 
 
-def _surface_sample_reference(g, n, rng_seed, extent=10.0):
+def _surface_sample_reference(g, n, rng_seed):
     """surface_sample as it was, a list of Positions built point by
     point, kept as the reference of the array sampler."""
     rng = np.random.default_rng(rng_seed)
@@ -451,11 +451,11 @@ def _surface_sample_reference(g, n, rng_seed, extent=10.0):
         return [Position(float(a), float(b), float(c)) for a, b, c in v]
 
     if g.kind is GeometryKind.PLANE:
-        return disk(n, 0.0, extent)
+        return disk(n, 0.0, 10.0)
     if g.kind in (GeometryKind.GROUNDED_SPHERE, GeometryKind.ISOLATED_SPHERE):
         return sphere(n, hemisphere=False)
     area_hemisphere = 2.0 * math.pi * g.radius**2
-    outer = max(extent, g.radius)
+    outer = max(10.0, g.radius)
     area_annulus = math.pi * (outer**2 - g.radius**2)
     n_hemisphere = int(round(n * area_hemisphere / (area_hemisphere + area_annulus)))
     n_hemisphere = min(max(n_hemisphere, 1), n)
