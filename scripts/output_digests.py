@@ -4,7 +4,10 @@
 
 One `name sha256` line per output: the scan CSV of each geometry, route
 (closed, numeric, oracle) and sweep, 50 points each, then the report of
-`validate --suite all` at each of four seeds.  The sweeps are a bulk z0
+`validate --suite all` at each of four seeds.  The sphere and the boss
+hat also scan by `--method expansion3` on the axis, a log z0 sweep from
+a gap of 1e-6 R to z0 = 1.4 R, inside the expansion's window, once plain
+and once with `--normalize a3`.  The sweeps are a bulk z0
 sweep, a bulk rho0 sweep, a near-contact z0 sweep on a log grid from a
 gap of 1e-6 R, and a near-contact rho0 sweep that starts at the boss
 hat's rim.  The near-contact z0 sweep runs once more with each
@@ -51,16 +54,23 @@ GEOMETRIES = {
 METHODS = ("closed", "numeric", "oracle")
 SEEDS = (0, 1, 12345, 5864892553)
 NORMALIZED = "near-z0"   # the sweep also scanned with each --normalize scale
+EXPANSION_GEOMETRIES = ("gsphere", "bosshat")
+EXPANSION_SWEEP = ["--var", "z0", "--from", NEAR, "--to", "1.4", "--log"]   # 0 < s < 0.5
+EXPANSION_SCANS = [("near-z0", EXPANSION_SWEEP),
+                   ("near-z0-a3", [*EXPANSION_SWEEP, "--normalize", "a3"])]
 
 
 def outputs(workdir: str):
     """(name, argv, path of the output file or None for standard output)."""
     for geometry, (flags, sweeps) in GEOMETRIES.items():
-        for method in METHODS:
-            scans = list(sweeps.items())
-            scans += [(f"{NORMALIZED}-{scale}", [*sweeps[NORMALIZED], "--normalize", scale])
-                      for scale in (("a3",) if geometry == "plane" else ("R3", "a3"))]
-            for sweep, sweep_flags in scans:
+        scans = list(sweeps.items())
+        scans += [(f"{NORMALIZED}-{scale}", [*sweeps[NORMALIZED], "--normalize", scale])
+                  for scale in (("a3",) if geometry == "plane" else ("R3", "a3"))]
+        routes = [(method, scans) for method in METHODS]
+        if geometry in EXPANSION_GEOMETRIES:
+            routes.append(("expansion3", EXPANSION_SCANS))
+        for method, method_scans in routes:
+            for sweep, sweep_flags in method_scans:
                 name = f"scan-{geometry}-{method}-{sweep}"
                 path = os.path.join(workdir, name + ".csv")
                 argv = ["scan", *flags, "--method", method, "--isotropic", "1",

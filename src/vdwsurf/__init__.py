@@ -9,8 +9,9 @@ homogeneous Green function's image sum, and a finite-dipole
 extrapolation oracle.
 
 The package namespace holds the documented API: the closed forms, the
-three routes that take a Position or an (N, 3) array of points
-(energy_closed, energy_numeric, extrapolated_energy), the validation
+three routes, route(g, variances, r0, units), that take DipoleVariances
+and a Position or an (N, 3) array of points (energy_closed,
+energy_numeric, extrapolated_energy), the validation
 suites, the error classes and the types they take and return.
 Everything else is imported from its submodule: the image systems and
 G_H from vdwsurf.images, the geometry helpers from vdwsurf.geometry,
@@ -38,7 +39,6 @@ from .errors import (
 )
 from .evaluator import energy_numeric
 from .geometry import (
-    AtomSpec,
     DipoleVariances,
     EnergyResult,
     GeometryConfig,
@@ -54,7 +54,6 @@ from .validate import CheckResult, SuiteReport, run_all, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomSpec",
     "CheckResult",
     "ContactError",
     "DegenerateSourceError",

@@ -27,13 +27,13 @@ config's flags are parsed before the command line's by the same parser,
 with the same checks and messages, so flags win, and the whole file is
 checked, a bad value that a flag overrides included.
 
-`scan --method closed|numeric|oracle` evaluates its grid in vectorised
-calls of up to 256 points, one route call a chunk, and builds the
-chunk's CSV rows in one pass; `expansion3` goes point by point. A chunk
-whose call fails is evaluated again point by point to name the first
-failing grid value. Numpy floating-point errors (division by zero,
-overflow, invalid operations) raise inside every subcommand and exit
-2. The environment variable VDW_THREADS, which once set a thread
+`scan` evaluates its grid in vectorised calls of up to 256 points, one
+route call a chunk for every method, and builds the chunk's CSV rows in
+one pass. A chunk whose call fails is evaluated again point by point to
+name the first failing grid value; `energy`, like `scan`, names the
+point of a non-finite energy. Numpy floating-point errors (division by
+zero, overflow, invalid operations) raise inside every subcommand and
+exit 2. The environment variable VDW_THREADS, which once set a thread
 count, is accepted and ignored.
 
 Variances are interpreted in cartesian axes (x, y, z) for the plane and
@@ -171,25 +171,31 @@ def _geometry_from_args(name: str, radius: float) -> GeometryConfig:
 
 
 def _expansion3_energy(
-    g: GeometryConfig, variances: DipoleVariances, r0: Position, units: UnitSystem
+    g: GeometryConfig,
+    variances: DipoleVariances,
+    r0: Position | np.ndarray,
+    units: UnitSystem,
 ) -> EnergyResult:
-    if r0.x != 0.0:
+    """The near-contact expansion of the geometry on the axis: a float for
+    a Position, (N,) arrays for an (N, 3) array of points."""
+    x, z = (r0.x, r0.z) if isinstance(r0, Position) else (r0[:, 0], r0[:, 2])
+    if np.any(x != 0.0):
         raise ValueError("--method expansion3 is on-axis only (rho0 = 0)")
     total = isotropic_total(variances, f"expansion3 energies of geometry {g.kind.value!r}")
     if g.kind is GeometryKind.GROUNDED_SPHERE:
-        return u_sphere_expansion3(total, r0.z, g.radius, units)
+        return u_sphere_expansion3(total, z, g.radius, units)
     if g.kind is GeometryKind.BOSS_HAT:
-        return u_bosshat_expansion3(total, r0.z, g.radius, units)
+        return u_bosshat_expansion3(total, z, g.radius, units)
     raise ValueError("--method expansion3 needs geometry gsphere or bosshat")
 
 
 def _route(method: str):
     """The energy route of a method, which takes a Position or an (N, 3)
-    array of points; None for expansion3, a scan method that goes point
-    by point. Looked up at each call, so a wrapper bound to the name on
-    this module, such as a tracer's, sees the call."""
-    routes = {"closed": energy_closed, "numeric": energy_numeric, "oracle": extrapolated_energy}
-    return routes.get(method)
+    array of points. Looked up at each call, so a wrapper bound to the
+    name on this module, such as a tracer's, sees the call."""
+    routes = {"closed": energy_closed, "numeric": energy_numeric, "oracle": extrapolated_energy,
+              "expansion3": _expansion3_energy}
+    return routes[method]
 
 
 def _setup(args: argparse.Namespace) -> tuple[UnitSystem, GeometryConfig, DipoleVariances]:
@@ -215,10 +221,14 @@ def cmd_energy(args: argparse.Namespace) -> int:
     except (FloatingPointError, ZeroDivisionError) as exc:   # OverflowError names its point
         exc.args = (f"at rho0={args.rho0!r}, z0={z0!r}: {exc}",)   # as scan names it
         raise
-    err = result.err_estimate if math.isfinite(result.err_estimate) else None
+    if not (math.isfinite(result.value) and math.isfinite(result.err_estimate)):
+        raise FloatingPointError(
+            f"at rho0={args.rho0!r}, z0={z0!r}: non-finite energy {result.value!r} "
+            f"(err {result.err_estimate!r})"
+        )
     payload = {
         "energy": result.value,
-        "err_estimate": err,
+        "err_estimate": result.err_estimate,
         "method": result.method.value,
         "units": result.units.value,
         "inputs": {
@@ -270,21 +280,20 @@ def _chunk_energies(
     units: UnitSystem,
     var: str,
 ) -> tuple[np.ndarray, np.ndarray, str]:
-    """Values, errors and method name of a chunk of scan points: one
-    vectorised route call, or point by point for expansion3. A failure
-    names the grid value of the first failing point."""
+    """Values, errors and method name of a chunk of scan points from one
+    vectorised route call. A failure names the grid value of the first
+    failing point."""
     route = _route(method)
-    if route is not None:
-        try:
-            batch = route(g, variances, positions, units=units)
-        except (VdwError, ArithmeticError):
-            pass   # the point-by-point loop below finds and names the failing point
-        else:
-            return batch.value, batch.err_estimate, batch.method.value
+    try:
+        batch = route(g, variances, positions, units=units)
+    except (VdwError, ArithmeticError, ValueError):
+        pass   # the point-by-point loop below finds and names the failing point
+    else:
+        return batch.value, batch.err_estimate, batch.method.value
     values, errs = [], []
     for x, row in zip(xs, positions.tolist()):
         try:
-            result = (route or _expansion3_energy)(g, variances, Position(*row), units=units)
+            result = route(g, variances, Position(*row), units=units)
         except (VdwError, ArithmeticError) as exc:
             exc.args = (f"at {var}={x!r}: {exc}",)   # name the failing point
             raise

@@ -1,7 +1,8 @@
 """Closed-form dispersion energies for the four conductor geometries.
 
 energy_closed is the closed-form route: like energy_numeric and
-extrapolated_energy it takes a Position or an (N, 3) array of points.
+extrapolated_energy it takes DipoleVariances and a Position or an
+(N, 3) array of points.
 It picks the form of the geometry and checks that the spheres get
 isotropic variances.  The u_* forms, the scalar API, are also its
 kernels: they take arrays as well and give them the scalar bits.
@@ -27,7 +28,6 @@ import numpy as np
 
 from .errors import ContactError, ExpansionWindowError, RegionError
 from .geometry import (
-    AtomSpec,
     DipoleVariances,
     EnergyResult,
     GeometryConfig,
@@ -37,7 +37,6 @@ from .geometry import (
     VarianceFrame,
     as_points,
     local_axes,
-    variances_of,
 )
 from .units import UnitSystem
 
@@ -257,11 +256,12 @@ def isotropic_total(v: DipoleVariances, forms: str = "closed-form sphere energie
 
 def energy_closed(
     g: GeometryConfig,
-    atom: AtomSpec | DipoleVariances,
+    variances: DipoleVariances,
     r0: Position | np.ndarray,
     units: UnitSystem = _REDUCED,
 ) -> EnergyResult:
-    """Dispersion energy from the closed form of the geometry.
+    """Dispersion energy from the closed form of the geometry, for the
+    dipole variances of the atom.
 
     r0 is a Position, giving a float value, or an (N, 3) array of
     positions, giving (N,) values equal to the per-point ones bit for
@@ -272,23 +272,22 @@ def energy_closed(
     covariance dropping out by mirror symmetry.  Where a power of a
     distance overflows, the OverflowError names the first such point.
     """
-    v = variances_of(atom)
     single = isinstance(r0, Position)
     x, y, z = (r0.x, r0.y, r0.z) if single else as_points(r0).reshape(-1, 3).T
     try:
         if g.kind is GeometryKind.PLANE:
-            result = u_plane(v, z, units)
+            result = u_plane(variances, z, units)
         elif g.kind is GeometryKind.BOSS_HAT:
-            m = (v.m1, v.m2, v.m3)
-            if v.frame is VarianceFrame.CARTESIAN:
+            m1, m2, m3 = m = (variances.m1, variances.m2, variances.m3)
+            if variances.frame is VarianceFrame.CARTESIAN:
                 e_rho = np.asarray(local_axes(VarianceFrame.CYLINDRICAL_LOCAL, r0))[..., 0, :]
                 c2, s2 = e_rho[..., 0] ** 2, e_rho[..., 1] ** 2
-                m = (v.m1 * c2 + v.m2 * s2, v.m1 * s2 + v.m2 * c2, v.m3)
+                m = (m1 * c2 + m2 * s2, m1 * s2 + m2 * c2, m3)
             xi = xi_factors_corrected(g.radius, _hypot(x, y), z)
             result = EnergyResult(_u_from_xi(m, z, xi, units), 0.0, Method.CLOSED_FORM, units.mode)
         else:
             form = u_grounded_sphere if g.kind is GeometryKind.GROUNDED_SPHERE else u_isolated_sphere
-            result = form(isotropic_total(v), _hypot(x, y, z), g.radius, units)
+            result = form(isotropic_total(variances), _hypot(x, y, z), g.radius, units)
     except OverflowError:
         if single:
             raise OverflowError(
@@ -296,7 +295,7 @@ def energy_closed(
                 " a power of the distance overflows"
             ) from None
         for point in zip(x.tolist(), y.tolist(), z.tolist()):
-            energy_closed(g, v, Position(*point), units)   # raises at the first such point
+            energy_closed(g, variances, Position(*point), units)   # raises at the first such point
         raise
     if single:
         return EnergyResult(float(result.value), 0.0, result.method, result.units)
@@ -309,16 +308,16 @@ def _expansion3(
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     s = (z0 - radius) / radius
-    if not 0.0 < s < 0.5:
+    if not np.all((0.0 < s) & (s < 0.5)):
         raise ExpansionWindowError(
             "near-contact expansion valid only for 0 < (z0-R)/R < 0.5"
         )
     a = z0 - radius
-    bracket = 1.0 - s + s * s + c3 * s**3
-    value = -variance_total * bracket / (12.0 * units.four_pi_epsilon0 * a**3)
+    bracket = 1.0 - s + s * s + c3 * _power(s, 3)
+    value = -variance_total * bracket / (12.0 * units.four_pi_epsilon0 * _power(a, 3))
     # Remainder of the truncated series; the 5 s^4 envelope is measured
     # against the exact forms in the tests.
-    err = abs(value) * 5.0 * s**4
+    err = abs(value) * 5.0 * _power(s, 4)
     return EnergyResult(value, err, Method.EXPANSION3, units.mode)
 
 

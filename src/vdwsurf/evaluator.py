@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import RegionError
 from .geometry import (
-    AtomSpec,
     DipoleVariances,
     EnergyResult,
     GeometryConfig,
@@ -32,7 +31,6 @@ from .geometry import (
     as_points,
     local_axes,
     surface_distance,
-    variances_of,
 )
 from .images import _distances, _dot, build_green, g_h, image_records  # g_h: perfbench wraps it
 from .units import UnitSystem
@@ -43,11 +41,12 @@ _TINY = sys.float_info.min
 
 def energy_numeric(
     g: GeometryConfig,
-    atom: AtomSpec | DipoleVariances,
+    variances: DipoleVariances,
     r0: Position | np.ndarray,
     units: UnitSystem = UnitSystem.reduced(),
 ) -> EnergyResult:
-    """Dispersion energy from the exact mixed derivatives of G_H.
+    """Dispersion energy from the exact mixed derivatives of G_H, for the
+    dipole variances of the atom.
 
     r0 is a Position, giving float value and err_estimate, or an (N, 3)
     array of positions, giving (N,) arrays equal to the per-point
@@ -60,16 +59,15 @@ def energy_numeric(
     rotated so components follow (rho-hat, phi-hat, z-hat) at the atom's
     azimuth; Cartesian-frame variances use the fixed (x, y, z) axes.
     """
-    v = variances_of(atom)
     points = as_points(r0).reshape(-1, 3)
     if not np.all(surface_distance(g, points) > 0.0):
         raise RegionError("r0 must lie strictly inside the physical region")
-    weights = np.array((v.m1, v.m2, v.m3))
+    weights = np.array((variances.m1, variances.m2, variances.m3))
     active = np.flatnonzero(weights)
 
     # Components first, points last: r (3, 1, N), e (3, A, N) for the A active axes.
     r = np.ascontiguousarray(points.T)[:, None]
-    e = np.ascontiguousarray(local_axes(v.frame, points)[:, active].T)
+    e = np.ascontiguousarray(local_axes(variances.frame, points)[:, active].T)
     norm = np.sqrt(_dot(r, r))
     w, grad_w, loc, j_e, kelvin = image_records(build_green(g), r, e)
     u, dist = _distances(points, r, norm, loc)                     # (3, K, 1, N), (K, 1, N)

@@ -157,6 +157,13 @@ class DipoleVariances:
         third = total / 3.0   # exact thirds by construction
         return cls(third, third, third, frame)
 
+    @classmethod
+    def from_dominant_transition(
+        cls, alpha: float, omega10: float, units: UnitSystem
+    ) -> "DipoleVariances":
+        # <d^2> = (3/2) * hbar * omega10 * alpha, exact by construction.
+        return cls.isotropic(1.5 * units.hbar * omega10 * alpha)
+
 
 def local_axes(
     frame: VarianceFrame, p: Position | np.ndarray
@@ -185,34 +192,6 @@ def local_axes(
     if isinstance(p, Position):
         return tuple(tuple(row) for row in axes[0].tolist())
     return axes
-
-
-@dataclass(frozen=True)
-class AtomSpec:
-    """Atomic dipole data; optionally backed by a dominant transition."""
-
-    variances: DipoleVariances
-    alpha: float | None = None     # static polarizability
-    omega10: float | None = None   # dominant transition angular frequency
-
-    @classmethod
-    def isotropic(cls, total: float) -> "AtomSpec":
-        return cls(DipoleVariances.isotropic(total))
-
-    @classmethod
-    def from_dominant_transition(
-        cls, alpha: float, omega10: float, units: UnitSystem
-    ) -> "AtomSpec":
-        # <d^2> = (3/2) * hbar * omega10 * alpha, exact by construction.
-        d2 = 1.5 * units.hbar * omega10 * alpha
-        return cls(DipoleVariances.isotropic(d2), alpha=alpha, omega10=omega10)
-
-
-def variances_of(atom: "AtomSpec | DipoleVariances") -> DipoleVariances:
-    """Accept either an AtomSpec or bare DipoleVariances."""
-    if isinstance(atom, AtomSpec):
-        return atom.variances
-    return atom
 
 
 class Method(enum.Enum):

@@ -35,10 +35,12 @@ One table, _image_table, turns the records into numbers: the weights
 (K, ...) and locations (3, K, ...) of all images, components first, so
 that each vector step is one ufunc over a block.  It has three
 consumers: g_h, for one pair of Positions or arrays of point pairs,
-(..., 3), per call; image_records, which adds the first derivatives in
-the source point; and through it the numeric route and bc_residual,
-which differentiate G_H exactly.  One rule, in _distances, rejects a
-field point on an image location for all of them, before any division.
+(..., 3), per call; bc_residual, whose grounded residual sums the same
+images with the direct term; and image_records, which adds the first
+derivatives in the source point, and through it the numeric route and
+the isolated sphere's bc_residual, which differentiate G_H exactly.
+One rule, in _distances, rejects a field point on an image location
+for all of them, before any division.
 """
 
 from __future__ import annotations
@@ -266,12 +268,15 @@ def bc_residual(green: HomogeneousGreen, r_surface, r_prime):
         raise ValueError("r_surface does not lie on the conductor surface")
     rs, rp = _components_first(points, source)
     rs_norm = np.sqrt(_dot(rs, rs))
-    d, d_norm = _distances(points, rs, rs_norm, rp[:, None])   # the source, checked as an image
 
     if g.kind is not GeometryKind.ISOLATED_SPHERE:
-        residual = g_h(green, points, source) + 1.0 / (FOUR_PI * d_norm[0])
+        w, loc, _ = _image_table(green, rp)
+        # the source first, checked as an image, then the images of G_H
+        _, dist = _distances(points, rs, rs_norm, np.concatenate([rp[:, None], loc], axis=1))
+        residual = sum(w / dist[1:]) / FOUR_PI + 1.0 / (FOUR_PI * dist[0])
         return float(residual) if scalar else residual
 
+    d, d_norm = _distances(points, rs, rs_norm, rp[:, None])   # the source, checked as an image
     d = d[:, 0]
     grad = d / (_dot(d, d) * d_norm[0])
     # the records along the axes e_j, so that component j of J^T u is u . (J e_j)

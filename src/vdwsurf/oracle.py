@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import ExtrapolationError, RegionError
 from .geometry import (
-    AtomSpec,
     DipoleVariances,
     EnergyResult,
     GeometryConfig,
@@ -39,7 +38,6 @@ from .geometry import (
     physical_region,
     point_norms,
     surface_distance,
-    variances_of,
 )
 from .images import HomogeneousGreen, build_green, g_h
 from .units import UnitSystem
@@ -103,11 +101,12 @@ def _fit_map(fractions: tuple[float, ...]) -> np.ndarray:
 
 def extrapolated_energy(
     g: GeometryConfig,
-    atom: AtomSpec | DipoleVariances,
+    variances: DipoleVariances,
     r0: Position | np.ndarray,
     units: UnitSystem = _REDUCED,
 ) -> EnergyResult:
-    """Dispersion energy by finite-dipole h -> 0 extrapolation.
+    """Dispersion energy by finite-dipole h -> 0 extrapolation, for the
+    dipole variances of the atom.
 
     Per variance axis, a centered pair with q h = sqrt(<d_m^2>) is sampled
     at h_j = f_j ell and a0 = sum_j c0_j s_j by the fit map.  A fit error
@@ -125,13 +124,12 @@ def extrapolated_energy(
     ell = surface_distance(g, points)
     if not (ell > 0.0).all():
         raise RegionError("r0 must lie strictly inside the physical region")
-    v = variances_of(atom)
     fractions = tuple(DEFAULT_H_FRACTIONS)
     h_values = ell[:, None] * np.array(fractions)                 # (N, K)
 
-    weights = (v.m1, v.m2, v.m3)
+    weights = (variances.m1, variances.m2, variances.m3)
     active = [m for m in range(3) if weights[m] != 0.0]
-    e = local_axes(v.frame, points)[:, active].transpose(2, 1, 0)[..., None]   # (3, A, N, 1)
+    e = local_axes(variances.frame, points)[:, active].transpose(2, 1, 0)[..., None]   # (3, A, N, 1)
     charges = np.empty((3, 2, len(active)) + h_values.shape)   # (3, 2, A, N, K): base, tip
     base, tip = charges[:, 0], charges[:, 1]
     np.multiply(0.5 * h_values, e, out=base)

@@ -564,6 +564,63 @@ def test_energy_overflow_prints_no_invalid_json(capsys):
     assert err.startswith("vdwsurf: ")
 
 
+@pytest.mark.parametrize(
+    "geometry",
+    [["plane"], ["gsphere", "--radius", "1"], ["isphere", "--radius", "1"],
+     ["bosshat", "--radius", "1"]],
+    ids=["plane", "gsphere", "isphere", "bosshat"],
+)
+def test_energy_names_a_non_finite_energy_as_scan_does(geometry, capsys, tmp_path):
+    # the closed form's numerator overflows: -inf, which JSON cannot hold
+    flags = ["--geometry", *geometry, "--variances", "1e308,1e308,1e308"]
+    code, out, err = run_cli(capsys, "energy", *flags, "--z0", "2")
+    assert (code, out) == (2, "")
+    assert err == "vdwsurf: at rho0=0.0, z0=2.0: non-finite energy -inf (err 0.0)\n"
+    code, _, err = run_cli(capsys, "scan", *flags, "--from", "2", "--to", "2", "--points", "1",
+                           "--out", str(tmp_path / "scan.csv"))
+    assert (code, err) == (2, "vdwsurf: at z0=2.0: non-finite energy -inf (err 0.0)\n")
+
+
+@pytest.mark.parametrize(
+    "z0,message",
+    [
+        # the first grid point is on the axis but outside the window: its
+        # own error, named, and not the on-axis error of the points after it
+        ("2", "vdwsurf: at rho0=0.0: near-contact expansion valid only for 0 < (z0-R)/R < 0.5\n"),
+        ("1.2", "vdwsurf: --method expansion3 is on-axis only (rho0 = 0)\n"),
+    ],
+    ids=["window-first", "off-axis-second"],
+)
+def test_expansion3_rho0_sweep_reports_its_first_failing_point(z0, message, capsys, tmp_path):
+    out = tmp_path / "scan.csv"
+    code, _, err = run_cli(
+        capsys, "scan", "--geometry", "gsphere", "--radius", "1", "--isotropic", "1",
+        "--method", "expansion3", "--var", "rho0", "--z0", z0, "--from", "0", "--to", "1",
+        "--points", "3", "--out", str(out),
+    )
+    assert (code, err) == (2, message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("geometry", ["gsphere", "bosshat"])
+def test_long_expansion3_scan_equals_per_point_energies(geometry, capsys, tmp_path):
+    from vdwsurf.closed import u_bosshat_expansion3, u_sphere_expansion3
+
+    form = u_sphere_expansion3 if geometry == "gsphere" else u_bosshat_expansion3
+    out = tmp_path / "scan.csv"
+    code, _, _ = run_cli(
+        capsys, "scan", "--geometry", geometry, "--radius", "1", "--isotropic", "1",
+        "--method", "expansion3", "--log", "--from", "1.000001", "--to", "1.4",
+        "--points", "600", "--out", str(out),
+    )
+    assert code == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 600
+    for x, row in zip(np.geomspace(1.000001, 1.4, 600).tolist(), rows):
+        result = form(1.0, x, 1.0)
+        assert row == f"{x:.17g},{result.value:.17g},{result.err_estimate:.17g},expansion3"
+
+
 def test_long_scan_in_chunks_equals_per_point_energies(capsys, tmp_path):
     import numpy as np
 

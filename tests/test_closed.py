@@ -176,6 +176,25 @@ def test_expansion_window_enforced():
     u_sphere_expansion3(1.0, 1.3, 1.0)         # s = 0.3 is fine
 
 
+@pytest.mark.parametrize("form", [u_sphere_expansion3, u_bosshat_expansion3])
+@pytest.mark.parametrize("units", [UnitSystem.reduced(), UnitSystem.si()], ids=["reduced", "si"])
+def test_expansion3_on_arrays_equals_its_float_calls_bit_for_bit(form, units):
+    rng = np.random.default_rng(18)
+    radius = 1.3
+    s = np.concatenate([10.0 ** rng.uniform(-9.0, np.log10(0.5), 2000), [5e-324, 0.4999999999999999]])
+    z0 = radius + s * radius
+    z0 = z0[(z0 - radius) / radius > 0.0]
+    batch = form(2.7, z0, radius, units)
+    singles = [form(2.7, z, radius, units) for z in z0.tolist()]
+    assert batch.value.tolist() == [r.value for r in singles]
+    assert batch.err_estimate.tolist() == [r.err_estimate for r in singles]
+    assert batch.method is Method.EXPANSION3
+    for bad in (radius, 1.5 * radius, 0.5 * radius, math.nan):   # s = 0, 0.5, < 0, NaN
+        for k in (0, 7, len(z0)):
+            with pytest.raises(ExpansionWindowError):
+                form(2.7, np.insert(z0, k, bad), radius, units)
+
+
 @given(s=st.floats(1e-3, 0.4))
 @settings(max_examples=60, deadline=None)
 def test_expansion_remainder_is_quartic_small(s):

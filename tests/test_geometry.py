@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vdwsurf.geometry import (
-    AtomSpec,
     DipoleVariances,
     GeometryConfig,
     GeometryKind,
@@ -16,7 +15,6 @@ from vdwsurf.geometry import (
     physical_region,
     surface_distance,
     to_cylindrical,
-    variances_of,
 )
 from vdwsurf.units import UnitSystem
 
@@ -90,18 +88,12 @@ def test_isotropic_thirds(total):
     assert v.m1 == total / 3.0
 
 
-def test_atom_spec_dominant_transition():
+def test_variances_from_dominant_transition():
     u = UnitSystem.reduced()
-    atom = AtomSpec.from_dominant_transition(alpha=2.0, omega10=3.0, units=u)
+    v = DipoleVariances.from_dominant_transition(alpha=2.0, omega10=3.0, units=u)
     # <d^2> = (3/2) hbar omega alpha
-    assert variances_of(atom).total == pytest.approx(9.0)
-    assert atom.alpha == 2.0 and atom.omega10 == 3.0
-
-
-def test_variances_of_passthrough():
-    v = DipoleVariances.isotropic(1.0)
-    assert variances_of(v) is v
-    assert variances_of(AtomSpec(variances=v)) is v
+    assert v.total == pytest.approx(9.0)
+    assert v == DipoleVariances.isotropic(9.0)
 
 
 def test_local_axes_cylindrical():

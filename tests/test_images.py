@@ -184,6 +184,28 @@ def test_grounded_bc_vanishes_on_sampled_surface(config, sources):
         assert np.all(np.abs(bc_residual(green, surface, as_points(rp))) < 1e-11)
 
 
+@pytest.mark.parametrize(
+    "config",
+    [GeometryConfig.plane(), GeometryConfig.grounded_sphere(1.3), GeometryConfig.boss_hat(0.8)],
+    ids=["plane", "gsphere", "bosshat"],
+)
+def test_grounded_bc_residual_is_g_h_plus_the_direct_term_bit_for_bit(config):
+    green = build_green(config)
+    rng = np.random.default_rng(19)
+    surface = surface_sample(config, 300, rng_seed=23)
+    sources = rng.uniform((-3.0, -3.0, 0.05), (3.0, 3.0, 3.0), (3000, 3))
+    sources = sources[physical_region(config, sources)][: len(surface)]
+
+    def want(rs, rp):   # |r_s - r'| summed in the order of the components
+        dx, dy, dz = np.moveaxis(rs - rp, -1, 0)
+        return g_h(green, rs, rp) + 1.0 / (FOUR_PI * np.sqrt(dx * dx + dy * dy + dz * dz))
+
+    assert bc_residual(green, surface, sources).tolist() == want(surface, sources).tolist()
+    assert bc_residual(green, surface, sources[0]).tolist() == want(surface, sources[0]).tolist()
+    for rs, rp in zip(surface[:20].tolist(), sources[:20].tolist()):
+        assert bc_residual(green, Position(*rs), Position(*rp)) == float(want(np.array(rs), np.array(rp)))
+
+
 def test_bc_residual_rejects_off_surface_point():
     config = GeometryConfig.grounded_sphere(1.0)
     green = build_green(config)

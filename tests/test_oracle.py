@@ -18,7 +18,6 @@ from vdwsurf.geometry import (
     local_axes,
     physical_region,
     surface_distance,
-    variances_of,
 )
 from vdwsurf.images import build_green
 from vdwsurf.oracle import (
@@ -207,20 +206,19 @@ def test_extrapolated_energy_grid_equals_per_point_calls(region_grid):
         assert batch.err_estimate[i] == single.err_estimate
 
 
-def _reference_samples(g, atom, points, fractions, units):
+def _reference_samples(g, variances, points, fractions, units):
     """The finite-dipole samples of the reference, shape (N, A, K), with
     its design points x = (h/ell)^2, shape (N, K), and active axes."""
     if not np.all(physical_region(g, points)):
         raise RegionError("r0 must lie strictly inside the physical region")
     green = build_green(g)
-    v = variances_of(atom)
     ell = surface_distance(g, points)[:, None]
     h_values = ell * np.array(fractions)
     x = (h_values / ell) ** 2
 
-    weights = (v.m1, v.m2, v.m3)
+    weights = (variances.m1, variances.m2, variances.m3)
     active = [m for m in range(3) if weights[m] != 0.0]
-    axes = np.array([local_axes(v.frame, Position(*p)) for p in points.tolist()])
+    axes = np.array([local_axes(variances.frame, Position(*p)) for p in points.tolist()])
     e = axes[:, active, None, :]
     h = h_values[:, None, :, None]
     base = points[:, None, None, :] - 0.5 * h * e
@@ -255,13 +253,13 @@ def test_oracle_value_is_the_fit_map_on_the_reference_samples_bit_for_bit(g, var
 
 
 def _per_point_reference(
-    g, atom, r0, fractions=DEFAULT_H_FRACTIONS, units=UnitSystem.reduced()
+    g, variances, r0, fractions=DEFAULT_H_FRACTIONS, units=UnitSystem.reduced()
 ):
     """The oracle by one pair of least-squares fits (np.linalg.lstsq) per
     point and axis, kept as a cross-check of the fixed fit map; the step
     schedule is the given fractions of the distance to the surface."""
     points = as_points(r0).reshape(-1, 3)
-    samples, x, active = _reference_samples(g, atom, points, fractions, units)
+    samples, x, active = _reference_samples(g, variances, points, fractions, units)
 
     totals = []
     errs = []
@@ -291,11 +289,11 @@ def _per_point_reference(
     return EnergyResult(np.array(totals), np.array(errs), Method.ORACLE, units.mode)
 
 
-def _rounding_slack(g, atom, points, fractions):
+def _rounding_slack(g, variances, points, fractions):
     """4 eps sum_axes sum_j |c0_j| |s_j| per point, with c0 the h = 0 row
     of the design's pseudo-inverse: the rounding allowed between two
     evaluations of the same h -> 0 fit."""
-    samples, _, _ = _reference_samples(g, atom, points, fractions, UnitSystem.reduced())
+    samples, _, _ = _reference_samples(g, variances, points, fractions, UnitSystem.reduced())
     x = np.array(fractions) ** 2
     c0 = np.linalg.pinv(np.column_stack([np.ones_like(x), x, x * x]))[0]
     return 4.0 * sys.float_info.epsilon * np.sum(np.abs(c0) * np.abs(samples), axis=(1, 2))
