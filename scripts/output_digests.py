@@ -12,9 +12,13 @@ sweep, a bulk rho0 sweep, a near-contact z0 sweep on a log grid from a
 gap of 1e-6 R, and a near-contact rho0 sweep that starts at the boss
 hat's rim.  The near-contact z0 sweep runs once more with each
 `--normalize` scale that the geometry defines: a3, and R3 but for the
-plane.  Two checkouts print the same lines exactly where their
-outputs agree byte for byte, so `diff` of two runs names every output a
-change moved.  Exits 1, naming the output, if a command does not exit 0.
+plane.  Last come four long boss-hat scans, one per route, whose grids
+span more than one scan chunk: the near-contact z0 sweep (for
+expansion3 its own sweep) at 5,000 points, past both 256 and 4096, and
+at 600 points for the oracle, past 256 twice.  Two checkouts print the
+same lines exactly where their outputs agree byte for byte, so `diff`
+of two runs names every output a change moved.  Exits 1, naming the
+output, if a command does not exit 0.
 """
 
 from __future__ import annotations
@@ -58,11 +62,21 @@ EXPANSION_GEOMETRIES = ("gsphere", "bosshat")
 EXPANSION_SWEEP = ["--var", "z0", "--from", NEAR, "--to", "1.4", "--log"]   # 0 < s < 0.5
 EXPANSION_SCANS = [("near-z0", EXPANSION_SWEEP),
                    ("near-z0-a3", [*EXPANSION_SWEEP, "--normalize", "a3"])]
+LONG_POINTS = {"closed": 5000, "numeric": 5000, "oracle": 600, "expansion3": 5000}
+
+
+def scan(workdir: str, geometry: str, method: str, sweep: str, flags: list[str]):
+    """(name, argv, path of the CSV) of one scan with the given flags."""
+    name = f"scan-{geometry}-{method}-{sweep}"
+    path = os.path.join(workdir, name + ".csv")
+    argv = ["scan", *GEOMETRIES[geometry][0], "--method", method, "--isotropic", "1",
+            *flags, "--out", path]
+    return name, argv, path
 
 
 def outputs(workdir: str):
     """(name, argv, path of the output file or None for standard output)."""
-    for geometry, (flags, sweeps) in GEOMETRIES.items():
+    for geometry, (_, sweeps) in GEOMETRIES.items():
         scans = list(sweeps.items())
         scans += [(f"{NORMALIZED}-{scale}", [*sweeps[NORMALIZED], "--normalize", scale])
                   for scale in (("a3",) if geometry == "plane" else ("R3", "a3"))]
@@ -71,13 +85,14 @@ def outputs(workdir: str):
             routes.append(("expansion3", EXPANSION_SCANS))
         for method, method_scans in routes:
             for sweep, sweep_flags in method_scans:
-                name = f"scan-{geometry}-{method}-{sweep}"
-                path = os.path.join(workdir, name + ".csv")
-                argv = ["scan", *flags, "--method", method, "--isotropic", "1",
-                        "--points", "50", *sweep_flags, "--out", path]
-                yield name, argv, path
+                yield scan(workdir, geometry, method, sweep, ["--points", "50", *sweep_flags])
     for seed in SEEDS:
         yield f"validate-all-seed{seed}", ["validate", "--suite", "all", "--seed", str(seed)], None
+    near_z0 = GEOMETRIES["bosshat"][1]["near-z0"]
+    for method, points in LONG_POINTS.items():
+        sweep_flags = EXPANSION_SWEEP if method == "expansion3" else near_z0
+        yield scan(workdir, "bosshat", method, f"near-z0-{points}",
+                   ["--points", str(points), *sweep_flags])
 
 
 def main() -> int:

@@ -27,9 +27,11 @@ config's flags are parsed before the command line's by the same parser,
 with the same checks and messages, so flags win, and the whole file is
 checked, a bad value that a flag overrides included.
 
-`scan` evaluates its grid in vectorised calls of up to 256 points, one
-route call a chunk for every method, and builds the chunk's CSV rows in
-one pass. A chunk whose call fails is evaluated again point by point to
+`scan` evaluates its grid in chunks, one vectorised route call and one
+string format per chunk. A chunk bounds the memory of a long scan: the
+oracle holds about 11 KB per point and takes 256 points a chunk, the
+closed, numeric and expansion3 routes hold 1.1 KB or less per point and
+take 4096. A chunk whose call fails is evaluated again point by point to
 name the first failing grid value; `energy`, like `scan`, names the
 point of a non-finite energy. Numpy floating-point errors (division by
 zero, overflow, invalid operations) raise inside every subcommand and
@@ -245,9 +247,11 @@ def cmd_energy(args: argparse.Namespace) -> int:
     return 0
 
 
-# Grid points per vectorised route call: scans of ordinary size take one
-# call, and the sample arrays of a long scan stay a few MB.
-_SCAN_CHUNK = 256
+# Grid points per vectorised route call, by --method: a bound on the
+# memory of a long scan. The oracle holds about 11 KB per point and takes
+# 256; the others hold 1.1 KB (numeric, boss hat) or less and take 4096,
+# so a scan of ordinary size is one route call. A chunk stays under 5 MB.
+_SCAN_CHUNK = {"oracle": 256, "closed": 4096, "numeric": 4096, "expansion3": 4096}
 
 
 def _normalization(
@@ -302,6 +306,14 @@ def _chunk_energies(
     return np.array(values), np.array(errs), result.method.value
 
 
+def _csv_rows(xs: list[float], values: list[float], errs: list[float], method: str) -> str:
+    """The CSV rows of a chunk, formatted by one % over the row repeated:
+    the bytes of formatting each row by itself."""
+    cells: list = [None] * (3 * len(xs))
+    cells[0::3], cells[1::3], cells[2::3] = xs, values, errs
+    return ("%.17g,%.17g,%.17g," + method + "\n") * len(xs) % tuple(cells)
+
+
 def cmd_scan(args: argparse.Namespace) -> int:
     _require_finite(args)
     _required(args, "geometry")
@@ -327,8 +339,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
     xs = np.sort(grid, kind="stable").tolist()
     var_column, fixed_column, fixed = (2, 0, args.rho0) if var == "z0" else (0, 2, args.z0)
     text = ["x,value,err,method\n"]
-    for start in range(0, len(xs), _SCAN_CHUNK):
-        chunk = xs[start:start + _SCAN_CHUNK]
+    size = _SCAN_CHUNK[args.method]
+    for start in range(0, len(xs), size):
+        chunk = xs[start:start + size]
         positions = np.zeros((len(chunk), 3))
         positions[:, var_column] = chunk
         positions[:, fixed_column] = fixed
@@ -347,8 +360,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
                 f"at {var}={chunk[i]!r}: non-finite energy {float(values[i])!r} "
                 f"(err {float(errs[i])!r})"
             )
-        row = "%.17g,%.17g,%.17g," + method_name + "\n"
-        text.extend(row % r for r in zip(chunk, values.tolist(), errs.tolist()))
+        text.append(_csv_rows(chunk, values.tolist(), errs.tolist(), method_name))
 
     try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:

@@ -77,6 +77,23 @@ def _sqrt(x):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
+def _linear(energy, v: DipoleVariances):
+    """energy(v) of a form linear in the variances v, a float or an array.
+    Where it is not finite and the largest variance is 1 or more, a sum of
+    the variances may have overflowed: there it is energy(v * s) / s, s the
+    power of two that takes the largest variance into [0.5, 1).  Finite
+    values keep their bits."""
+    value = energy(v)
+    k = math.frexp(max(v.m1, v.m2, v.m3))[1]
+    if k <= 0 or np.isfinite(value).all():
+        return value
+    s = math.ldexp(1.0, -k)
+    again = energy(DipoleVariances(v.m1 * s, v.m2 * s, v.m3 * s, v.frame))
+    with np.errstate(over="ignore"):
+        again = again / s
+    return np.where(np.isfinite(value), value, again) if isinstance(value, np.ndarray) else again
+
+
 def u_plane(
     variances: DipoleVariances, z0: float, units: UnitSystem = _REDUCED
 ) -> EnergyResult:
@@ -91,18 +108,21 @@ def u_plane(
     """
     if np.any(z0 == 0.0):
         raise ContactError("zero distance to the plane")
-    v = variances
     cube = _power(abs(z0), 3)
     with np.errstate(over="ignore"):
         denominator = 16.0 * units.four_pi_epsilon0 * cube
-    value = -(v.m1 + v.m2 + 2.0 * v.m3) / denominator
     # 16 k |z0|^3 overflows a little before |z0|^3 does: there the energy
     # is divided in two steps rather than left a silent -0.0
     split = np.isinf(denominator) & np.isfinite(cube)
-    if np.any(split):
-        two_steps = -(v.m1 + v.m2 + 2.0 * v.m3) / (16.0 * units.four_pi_epsilon0) / cube
-        value = np.where(split, two_steps, value) if isinstance(value, np.ndarray) else two_steps
-    return EnergyResult(value, 0.0, Method.CLOSED_FORM, units.mode)
+
+    def energy(v: DipoleVariances):
+        value = -(v.m1 + v.m2 + 2.0 * v.m3) / denominator
+        if np.any(split):
+            two_steps = -(v.m1 + v.m2 + 2.0 * v.m3) / (16.0 * units.four_pi_epsilon0) / cube
+            value = np.where(split, two_steps, value) if isinstance(value, np.ndarray) else two_steps
+        return value
+
+    return EnergyResult(_linear(energy, variances), 0.0, Method.CLOSED_FORM, units.mode)
 
 
 def _check_sphere(z0: float, radius: float) -> None:
@@ -228,9 +248,9 @@ def xi_factors_corrected(radius: float, rho0: float, z0: float) -> BossHatXi:
 def _u_from_xi(m: tuple, z0: float, xi: BossHatXi, units: UnitSystem) -> float:
     """The energy of (rho, phi, z) variances m, floats or arrays."""
     m1, m2, m3 = m
-    return -(m1 * xi.xi_rho + m2 * xi.xi_phi + m3 * xi.xi_z) / (
-        16.0 * units.four_pi_epsilon0 * _power(z0, 3)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):   # _linear takes an overflowing sum again
+        numerator = m1 * xi.xi_rho + m2 * xi.xi_phi + m3 * xi.xi_z
+    return -numerator / (16.0 * units.four_pi_epsilon0 * _power(z0, 3))
 
 
 def u_bosshat_corrected(
@@ -242,7 +262,7 @@ def u_bosshat_corrected(
 ) -> EnergyResult:
     """Boss-hat dispersion energy from the corrected angular factors."""
     xi = xi_factors_corrected(radius, rho0, z0)
-    value = _u_from_xi((variances.m1, variances.m2, variances.m3), z0, xi, units)
+    value = _linear(lambda v: _u_from_xi((v.m1, v.m2, v.m3), z0, xi, units), variances)
     return EnergyResult(value, 0.0, Method.CLOSED_FORM, units.mode)
 
 
@@ -270,7 +290,8 @@ def energy_closed(
     variances: Cartesian ones are rotated to the azimuth of each point,
     (m1 cos^2 + m2 sin^2, m1 sin^2 + m2 cos^2, m3), the rho-phi
     covariance dropping out by mirror symmetry.  Where a power of a
-    distance overflows, the OverflowError names the first such point.
+    distance overflows, the OverflowError names the first such point;
+    where only a sum of the variances overflows, the energy is finite.
     """
     single = isinstance(r0, Position)
     x, y, z = (r0.x, r0.y, r0.z) if single else as_points(r0).reshape(-1, 3).T
@@ -278,16 +299,19 @@ def energy_closed(
         if g.kind is GeometryKind.PLANE:
             result = u_plane(variances, z, units)
         elif g.kind is GeometryKind.BOSS_HAT:
-            m1, m2, m3 = m = (variances.m1, variances.m2, variances.m3)
+            c2, s2 = 1.0, 0.0   # (rho, phi, z) variances: m1 * 1 + m2 * 0 is m1
             if variances.frame is VarianceFrame.CARTESIAN:
                 e_rho = np.asarray(local_axes(VarianceFrame.CYLINDRICAL_LOCAL, r0))[..., 0, :]
                 c2, s2 = e_rho[..., 0] ** 2, e_rho[..., 1] ** 2
-                m = (m1 * c2 + m2 * s2, m1 * s2 + m2 * c2, m3)
             xi = xi_factors_corrected(g.radius, _hypot(x, y), z)
-            result = EnergyResult(_u_from_xi(m, z, xi, units), 0.0, Method.CLOSED_FORM, units.mode)
+            value = _linear(lambda v: _u_from_xi(
+                (v.m1 * c2 + v.m2 * s2, v.m1 * s2 + v.m2 * c2, v.m3), z, xi, units), variances)
+            result = EnergyResult(value, 0.0, Method.CLOSED_FORM, units.mode)
         else:
             form = u_grounded_sphere if g.kind is GeometryKind.GROUNDED_SPHERE else u_isolated_sphere
-            result = form(isotropic_total(variances), _hypot(x, y, z), g.radius, units)
+            r = _hypot(x, y, z)
+            value = _linear(lambda v: form(isotropic_total(v), r, g.radius, units).value, variances)
+            result = EnergyResult(value, 0.0, Method.CLOSED_FORM, units.mode)
     except OverflowError:
         if single:
             raise OverflowError(

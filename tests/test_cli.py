@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vdwsurf import cli
 from vdwsurf.cli import build_parser, main
 
 
@@ -566,19 +567,41 @@ def test_energy_overflow_prints_no_invalid_json(capsys):
 
 @pytest.mark.parametrize(
     "geometry",
-    [["plane"], ["gsphere", "--radius", "1"], ["isphere", "--radius", "1"],
-     ["bosshat", "--radius", "1"]],
+    [["plane"], ["gsphere", "--radius", "0.25"], ["isphere", "--radius", "0.25"],
+     ["bosshat", "--radius", "0.25"]],
     ids=["plane", "gsphere", "isphere", "bosshat"],
 )
 def test_energy_names_a_non_finite_energy_as_scan_does(geometry, capsys, tmp_path):
-    # the closed form's numerator overflows: -inf, which JSON cannot hold
+    # the energy itself overflows: -inf, which JSON cannot hold
     flags = ["--geometry", *geometry, "--variances", "1e308,1e308,1e308"]
-    code, out, err = run_cli(capsys, "energy", *flags, "--z0", "2")
+    code, out, err = run_cli(capsys, "energy", *flags, "--z0", "0.3")
     assert (code, out) == (2, "")
-    assert err == "vdwsurf: at rho0=0.0, z0=2.0: non-finite energy -inf (err 0.0)\n"
-    code, _, err = run_cli(capsys, "scan", *flags, "--from", "2", "--to", "2", "--points", "1",
-                           "--out", str(tmp_path / "scan.csv"))
-    assert (code, err) == (2, "vdwsurf: at z0=2.0: non-finite energy -inf (err 0.0)\n")
+    assert err == "vdwsurf: at rho0=0.0, z0=0.3: non-finite energy -inf (err 0.0)\n"
+    code, _, err = run_cli(capsys, "scan", *flags, "--from", "0.3", "--to", "0.3",
+                           "--points", "1", "--out", str(tmp_path / "scan.csv"))
+    assert (code, err) == (2, "vdwsurf: at z0=0.3: non-finite energy -inf (err 0.0)\n")
+
+
+@pytest.mark.parametrize(
+    "geometry,variances",
+    [(["plane"], "1e308,1e308,1e308"), (["plane"], "1.7e308,1e300,9e307"),
+     (["gsphere", "--radius", "1"], "1e308,1e308,1e308"),
+     (["gsphere", "--radius", "1"], "1.7e308,1.7e308,1.7e308"),
+     (["bosshat", "--radius", "1"], "1e308,1e308,1e308"),
+     (["bosshat", "--radius", "1"], "1.7e308,1e300,9e307")],
+    ids=["plane", "plane-uneven", "gsphere", "gsphere-largest", "bosshat", "bosshat-uneven"],
+)
+def test_closed_energy_is_finite_where_the_variance_sum_overflows(geometry, variances, capsys):
+    # the sums m1 + m2 + 2 m3, m1 + m2 + m3 and m . xi overflow; the energies do not
+    energies = []
+    for method in ("closed", "numeric"):
+        code, out, err = run_cli(capsys, "energy", "--geometry", *geometry, "--z0", "3",
+                                 "--rho0", "0.7", "--variances", variances, "--method", method)
+        assert (code, err) == (0, "")
+        energies.append(json.loads(out))
+    closed, numeric = energies
+    assert math.isfinite(closed["energy"])
+    assert abs(closed["energy"] - numeric["energy"]) <= numeric["err_estimate"]
 
 
 @pytest.mark.parametrize(
@@ -603,9 +626,10 @@ def test_expansion3_rho0_sweep_reports_its_first_failing_point(z0, message, caps
 
 
 @pytest.mark.parametrize("geometry", ["gsphere", "bosshat"])
-def test_long_expansion3_scan_equals_per_point_energies(geometry, capsys, tmp_path):
+def test_long_expansion3_scan_equals_per_point_energies(geometry, capsys, tmp_path, monkeypatch):
     from vdwsurf.closed import u_bosshat_expansion3, u_sphere_expansion3
 
+    monkeypatch.setitem(cli._SCAN_CHUNK, "expansion3", 256)   # 600 points cross two chunk edges
     form = u_sphere_expansion3 if geometry == "gsphere" else u_bosshat_expansion3
     out = tmp_path / "scan.csv"
     code, _, _ = run_cli(
@@ -621,12 +645,13 @@ def test_long_expansion3_scan_equals_per_point_energies(geometry, capsys, tmp_pa
         assert row == f"{x:.17g},{result.value:.17g},{result.err_estimate:.17g},expansion3"
 
 
-def test_long_scan_in_chunks_equals_per_point_energies(capsys, tmp_path):
+def test_long_scan_in_chunks_equals_per_point_energies(capsys, tmp_path, monkeypatch):
     import numpy as np
 
     from vdwsurf.evaluator import energy_numeric
     from vdwsurf.geometry import DipoleVariances, GeometryConfig, Position
 
+    monkeypatch.setitem(cli._SCAN_CHUNK, "numeric", 256)   # 600 points cross two chunk edges
     out = tmp_path / "scan.csv"
     code, _, _ = run_cli(
         capsys, "scan", "--geometry", "gsphere", "--radius", "1", "--isotropic", "1",
@@ -656,10 +681,48 @@ def test_long_scan_names_its_first_failing_point_in_a_later_chunk(capsys, tmp_pa
     )
     grid = np.linspace(-10.0, 3.0, 600).tolist()
     first = next(i for i, x in enumerate(grid) if abs(x) <= 1.0)
-    assert first > 256
+    assert first > cli._SCAN_CHUNK["oracle"]
     assert code == 3
     assert f"at rho0={grid[first]!r}: " in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["closed", "numeric"])
+def test_long_scan_names_its_first_failing_point_beyond_a_whole_chunk(method, capsys, tmp_path):
+    # as above, with the chunk these routes take: the failing chunk is
+    # replayed point by point over up to 4096 points
+    out = tmp_path / "scan.csv"
+    code, _, err = run_cli(
+        capsys, "scan", "--geometry", "isphere", "--radius", "1", "--isotropic", "1",
+        "--method", method, "--var", "rho0", "--z0", "0", "--from", "-10", "--to", "3",
+        "--points", "6000", "--out", str(out),
+    )
+    grid = np.linspace(-10.0, 3.0, 6000).tolist()
+    first = next(i for i, x in enumerate(grid) if abs(x) <= 1.0)
+    assert first > cli._SCAN_CHUNK[method]
+    assert code == 3
+    assert f"at rho0={grid[first]!r}: " in err
+    assert not out.exists()
+
+
+def test_csv_rows_of_a_chunk_equal_the_per_row_format():
+    rng = np.random.default_rng(19)
+    bits = rng.integers(0, 2**63, size=3000, dtype=np.uint64) | (
+        rng.integers(0, 2, size=3000, dtype=np.uint64) << np.uint64(63))
+    doubles = [x for x in bits.view(np.float64).tolist() if math.isfinite(x)]
+    special = [-0.0, 5e-324, 1e308, 1.0, -5e-324, -1e308, 0.1]
+    cells = special + doubles + rng.standard_normal(300).tolist()
+    cells = cells[: len(cells) // 3 * 3]
+    xs, values, errs = cells[0::3], cells[1::3], cells[2::3]
+    for method in ("closed_form", "numeric_ez", "oracle", "expansion3"):
+        row = "%.17g,%.17g,%.17g," + method + "\n"
+        rows = cli._csv_rows(xs, values, errs, method)
+        # row by row, so that a failure shows one row and not a diff of 80 KB
+        assert rows.count("\n") == len(xs)
+        for got, want in zip(rows.splitlines(keepends=True), (row % r for r in zip(xs, values, errs))):
+            assert got == want
+        assert cli._csv_rows(xs[:1], values[:1], errs[:1], method) == row % (xs[0], values[0], errs[0])
+    assert cli._csv_rows([], [], [], "oracle") == ""
 
 
 def test_back_to_back_calls_share_no_state(tmp_path, capsys):
@@ -991,6 +1054,7 @@ _CLOSED_SWEEPS = {
                 ("rho0", 1e-9, 1.0 + 1e-6, 1e2, True)],
 }
 _CLOSED_RADIUS = {"plane": None, "gsphere": 1.3, "isphere": 0.7, "bosshat": 1.0}
+_CLOSED_POINTS = 5000   # past the closed route's chunk of 4096 points
 
 
 def _closed_scan_cases():
@@ -1012,7 +1076,8 @@ def test_closed_scan_equals_the_point_by_point_csv(geometry, sweep, normalize, t
     var, fixed, lo, hi, log = sweep
     radius = _CLOSED_RADIUS[geometry]
     argv = ["scan", "--geometry", geometry, "--var", var, "--from", repr(lo), "--to", repr(hi),
-            "--points", "600", "--normalize", normalize, "--out", str(tmp_path / "scan.csv")]
+            "--points", str(_CLOSED_POINTS), "--normalize", normalize,
+            "--out", str(tmp_path / "scan.csv")]
     argv += ["--z0" if var == "rho0" else "--rho0", repr(fixed)]
     if radius is not None:
         argv += ["--radius", repr(radius)]
@@ -1028,7 +1093,8 @@ def test_closed_scan_equals_the_point_by_point_csv(geometry, sweep, normalize, t
         variances = DipoleVariances(0.5, 1.0, 2.0, frame)
     code, _, err = _run(argv)
     assert code == 0, err
-    grid = np.geomspace(lo, hi, 600) if log else np.linspace(lo, hi, 600)
+    assert _CLOSED_POINTS > cli._SCAN_CHUNK["closed"]
+    grid = np.geomspace(lo, hi, _CLOSED_POINTS) if log else np.linspace(lo, hi, _CLOSED_POINTS)
     want = _point_by_point_closed_csv(geometry, radius, variances, var, fixed, grid, normalize)
     assert (tmp_path / "scan.csv").read_bytes() == want
 

@@ -307,6 +307,39 @@ def test_energy_closed_batch_is_bit_equal_to_the_scalar_forms(region_grid):
     assert failing <= (30 if g.kind is GeometryKind.BOSS_HAT else 0)
 
 
+@pytest.mark.parametrize("scale", [1.0, 3e10, 8e307])
+def test_energy_closed_keeps_its_bits_where_the_variance_sum_is_finite(region_grid, scale):
+    # the energies of the forms' own sums, where those are finite; where
+    # a sum overflows (at 8e307 on every geometry), the energy at
+    # variances 2**-40 times smaller, times 2**40: both scalings are exact
+    g, variances, grid = region_grid
+    v = _closed_variances(g, variances)
+    v = DipoleVariances(v.m1 * scale, v.m2 * scale, v.m3 * scale, v.frame)
+    smaller = DipoleVariances(v.m1 / 2.0**40, v.m2 / 2.0**40, v.m3 / 2.0**40, v.frame)
+    points = np.concatenate([grid, _random_points(g)])
+    x, y, z = points.T
+    units = UnitSystem.reduced()
+    with np.errstate(all="ignore"):
+        value = energy_closed(g, v, points).value
+        if g.kind is GeometryKind.PLANE:
+            cube = closed._power(np.abs(z), 3)
+            want = -(v.m1 + v.m2 + 2.0 * v.m3) / (16.0 * units.four_pi_epsilon0 * cube)
+        elif g.kind is GeometryKind.BOSS_HAT:
+            xi = xi_factors_corrected(g.radius, closed._hypot(x, y), z)
+            want = closed._u_from_xi((v.m1, v.m2, v.m3), z, xi, units)
+        else:
+            form = u_grounded_sphere if g.kind is GeometryKind.GROUNDED_SPHERE else u_isolated_sphere
+            want = form(v.m1 + v.m2 + v.m3, closed._hypot(x, y, z), g.radius).value
+        rescaled = energy_closed(g, smaller, points).value * 2.0**40
+    finite = np.isfinite(want)
+    assert value[finite].tobytes() == want[finite].tobytes()
+    np.testing.assert_array_equal(value[~finite], rescaled[~finite])
+    if scale == 8e307:
+        assert np.isfinite(value[~finite]).sum() >= 100
+    else:
+        assert finite.sum() > len(points) // 2
+
+
 @pytest.mark.parametrize("frame", list(VarianceFrame), ids=["cartesian", "cylindrical"])
 def test_energy_closed_bosshat_reads_the_variance_frame(frame):
     # The boss-hat form reads (rho, phi, z) variances; Cartesian ones
