@@ -12,13 +12,19 @@ sweep, a bulk rho0 sweep, a near-contact z0 sweep on a log grid from a
 gap of 1e-6 R, and a near-contact rho0 sweep that starts at the boss
 hat's rim.  The near-contact z0 sweep runs once more with each
 `--normalize` scale that the geometry defines: a3, and R3 but for the
-plane.  Last come four long boss-hat scans, one per route, whose grids
+plane.  Next come four long boss-hat scans, one per route, whose grids
 span more than one scan chunk: the near-contact z0 sweep (for
 expansion3 its own sweep) at 5,000 points, past both 256 and 4096, and
-at 600 points for the oracle, past 256 twice.  Two checkouts print the
-same lines exactly where their outputs agree byte for byte, so `diff`
-of two runs names every output a change moved.  Exits 1, naming the
-output, if a command does not exit 0.
+at 600 points for the oracle, past 256 twice.  Then the JSON that
+`energy` prints, for each geometry and route at two points: a bulk
+point off the axis, and a point 1e-6 R from the surface (for the boss
+hat on top of its dome, away from the rim where the closed form
+divides by zero).  Each geometry's bulk point is also printed once by
+the closed route in SI units, its lengths read in nanometres.  These
+lines come after the earlier ones so that those keep their order.  Two
+checkouts print the same lines exactly where their outputs agree byte
+for byte, so `diff` of two runs names every output a change moved.
+Exits 1, naming the output, if a command does not exit 0.
 """
 
 from __future__ import annotations
@@ -63,6 +69,13 @@ EXPANSION_SWEEP = ["--var", "z0", "--from", NEAR, "--to", "1.4", "--log"]   # 0 
 EXPANSION_SCANS = [("near-z0", EXPANSION_SWEEP),
                    ("near-z0-a3", [*EXPANSION_SWEEP, "--normalize", "a3"])]
 LONG_POINTS = {"closed": 5000, "numeric": 5000, "oracle": 600, "expansion3": 5000}
+# (rho0, z0) of each energy point, R = 1
+ENERGY_POINTS = {
+    "plane": {"bulk": ("0.7", "1.3"), "near": ("0.7", "1e-6")},
+    "gsphere": {"bulk": ("0.7", "1.6"), "near": ("0", NEAR)},
+    "isphere": {"bulk": ("0.7", "1.6"), "near": ("0", NEAR)},
+    "bosshat": {"bulk": ("0.7", "1.1"), "near": ("0", NEAR)},
+}
 
 
 def scan(workdir: str, geometry: str, method: str, sweep: str, flags: list[str]):
@@ -93,6 +106,17 @@ def outputs(workdir: str):
         sweep_flags = EXPANSION_SWEEP if method == "expansion3" else near_z0
         yield scan(workdir, "bosshat", method, f"near-z0-{points}",
                    ["--points", str(points), *sweep_flags])
+    for geometry, points in ENERGY_POINTS.items():
+        for method in METHODS:
+            for point, (rho0, z0) in points.items():
+                yield (f"energy-{geometry}-{method}-{point}",
+                       ["energy", *GEOMETRIES[geometry][0], "--method", method,
+                        "--isotropic", "1", "--rho0", rho0, "--z0", z0], None)
+        rho0, z0 = points["bulk"]
+        radius = [] if geometry == "plane" else ["--radius", "1e-9"]
+        yield (f"energy-{geometry}-closed-bulk-si",
+               ["energy", "--geometry", geometry, *radius, "--units", "si",
+                "--isotropic", "1e-59", "--rho0", f"{rho0}e-9", "--z0", f"{z0}e-9"], None)
 
 
 def main() -> int:

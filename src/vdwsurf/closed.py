@@ -129,7 +129,7 @@ def _check_sphere(z0: float, radius: float) -> None:
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     if np.any(z0 <= radius):
-        raise ContactError("atom must sit outside the sphere (z0 > R)")
+        raise ContactError("atom must sit outside the sphere (distance from its center > R)")
 
 
 def u_grounded_sphere(

@@ -47,10 +47,6 @@ class Position:
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
-    @classmethod
-    def from_cylindrical(cls, rho: float, phi: float, z: float) -> "Position":
-        return cls(rho * math.cos(phi), rho * math.sin(phi), z)
-
 
 def as_points(p: Position | np.ndarray) -> np.ndarray:
     """Coordinates of a Position as a (3,) array, or of an array of
@@ -64,11 +60,6 @@ def point_norms(points: np.ndarray) -> np.ndarray:
     """|p| along the last axis, summed in the order of Position.norm."""
     x, y, z = points[..., 0], points[..., 1], points[..., 2]
     return np.sqrt(x * x + y * y + z * z)
-
-
-def to_cylindrical(p: Position) -> tuple[float, float, float]:
-    """(rho, phi, z) view of a Cartesian position; phi = 0 on the axis."""
-    return (p.rho, p.phi, p.z)
 
 
 @dataclass(frozen=True)

@@ -2,17 +2,16 @@
 noble-gas fit, London dispersion, the retarded long-range form, and the
 static dipole-dipole coupling.
 
-These are documentation-grade sanity formulas: exact power laws used by
-the validation suites and the point-conductor consistency check.  In
-reduced mode all constants (hbar, k_B, e, a_0, c) collapse to 1 along
-with 4*pi*eps0.
+These are documentation-grade sanity formulas, exact power laws.  No
+route or validation suite uses them; acceptance criterion 09 and
+tests/test_pairs.py check them.  In reduced mode all constants (hbar,
+k_B, e, a_0, c) collapse to 1 along with 4*pi*eps0.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 from .units import UnitSystem
@@ -25,23 +24,6 @@ WANG_COEFFICIENT = 8.7
 # Safety margin demanded of the high-temperature validity condition
 # k_B T >> p1 p2 / (4*pi*eps0 r^3) before u_orientation stays silent.
 _ORIENTATION_REGIME_MARGIN = 10.0
-
-
-@dataclass(frozen=True)
-class PairSpec:
-    """Parameters of a two-body interaction scenario."""
-
-    p1: float = 0.0       # permanent dipole magnitudes
-    p2: float = 0.0
-    alpha1: float = 0.0   # static polarizabilities
-    alpha2: float = 0.0
-    omega0: float = 0.0   # dominant transition angular frequency
-    temperature: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("p1", "p2", "alpha1", "alpha2", "omega0"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
 
 
 def u_orientation(

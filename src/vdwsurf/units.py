@@ -46,12 +46,6 @@ class UnitSystem:
         return 1.0
 
     @property
-    def epsilon0(self) -> float:
-        if self.mode is Mode.SI:
-            return EPSILON_0_SI
-        return 1.0 / (4.0 * math.pi)
-
-    @property
     def hbar(self) -> float:
         return HBAR_SI if self.mode is Mode.SI else 1.0
 

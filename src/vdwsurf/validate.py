@@ -127,30 +127,26 @@ def _sources_for(g: GeometryConfig, rng: np.random.Generator, n: int) -> np.ndar
     return _sources_sphere(rng, n, g.radius)
 
 
+_BC = (   # (check name, geometry, points, tolerance, seed offset)
+    ("dirichlet residual plane", GeometryConfig.plane(), _PAIRS, 1e-11, 0),
+    ("dirichlet residual gsphere", GeometryConfig.grounded_sphere(1.0), _PAIRS, 1e-11, 1000),
+    ("dirichlet residual bosshat", GeometryConfig.boss_hat(1.0), _PAIRS, 1e-11, 2000),
+    ("isolated-sphere gradient condition", GeometryConfig.isolated_sphere(1.0), 200, 1e-9, 9000),
+)
+
+
 def suite_bc(seed: int = 0) -> SuiteReport:
-    """Boundary condition on the conductor surface.
-
-    Grounded geometries: the full Green function must vanish on S.
-    Isolated sphere: the source-gradient of the full Green function on
-    S must equal -r'/(4*pi*|r'|^3), the gradient taken exactly from the
-    image records; this check keeps the looser tolerance 1e-9.
-    """
+    """Boundary condition on the conductor surface, one check per _BC row,
+    sources from seed + offset and surface points from seed + offset + 7:
+    grounded, G vanishes on S; isolated, the source-gradient of G on S,
+    exact from the image records, equals -r'/(4*pi*|r'|^3)."""
     checks = []
-    for offset, (name, g) in enumerate(_GROUNDED):
-        rng = np.random.default_rng(seed + 1000 * offset)
+    for name, g, n, tolerance, offset in _BC:
         green = build_green(g)
-        sources = _sources_for(g, rng, _PAIRS)
-        surface = surface_sample(g, _PAIRS, seed + 1000 * offset + 7)
+        sources = _sources_for(g, np.random.default_rng(seed + offset), n)
+        surface = surface_sample(g, n, seed + offset + 7)
         worst = float(np.max(np.abs(bc_residual(green, surface, sources))))
-        checks.append(_check(f"dirichlet residual {name}", worst, 1e-11))
-
-    g_iso = GeometryConfig.isolated_sphere(1.0)
-    rng = np.random.default_rng(seed + 9000)
-    green = build_green(g_iso)
-    sources = _sources_sphere(rng, 200, g_iso.radius)
-    surface = surface_sample(g_iso, 200, seed + 9007)
-    worst = float(np.max(np.abs(bc_residual(green, surface, sources))))
-    checks.append(_check("isolated-sphere gradient condition", worst, 1e-9))
+        checks.append(_check(name, worst, tolerance))
     return SuiteReport("bc", tuple(checks))
 
 

@@ -467,15 +467,34 @@ def test_scan_expansion3_method(tmp_path, capsys):
              "--method", "expansion3", "--from", "1.01", "--to", "1.2", "--points", "3"],
             "vdwsurf: expansion3 energies of geometry 'bosshat' require isotropic variances",
         ),
+        # scan arguments the parser accepts but the scan rejects
+        (["scan", "--geometry", "plane", "--isotropic", "1", "--from", "1", "--to", "2",
+          "--points", "0"], "vdwsurf: --points must be >= 1\n"),
+        (["scan", "--geometry", "plane", "--isotropic", "1", "--var", "rho0", "--from", "0",
+          "--to", "1"], "vdwsurf: --z0 is required when sweeping rho0\n"),
+        (["scan", "--geometry", "plane", "--isotropic", "1", "--log", "--from", "0", "--to", "1"],
+         "vdwsurf: --log needs strictly positive --from/--to\n"),
+        (["scan", "--geometry", "plane", "--isotropic", "1", "--method", "expansion3",
+          "--from", "1", "--to", "2"], "vdwsurf: --method expansion3 needs geometry gsphere or bosshat\n"),
+        (["scan", "--geometry", "isphere", "--radius", "1", "--isotropic", "1",
+          "--method", "expansion3", "--from", "1.1", "--to", "1.2"],
+         "vdwsurf: --method expansion3 needs geometry gsphere or bosshat\n"),
+        # a config line without "="; CONFIG stands for the path of a file holding it
+        (["scan", "--config", "CONFIG"], "vdwsurf: CONFIG:1: expected key=value, got 'z0 2'\n"),
     ],
     ids=["closed-zero-division", "numeric-isphere-overflow", "oracle-isphere-overflow",
          "numeric-gsphere-overflow", "oracle-gsphere-overflow", "numeric-plane-overflow",
          "expansion-window", "degenerate-source", "scan-names-x",
          "unallocatable-grid", "anisotropic-gsphere-expansion3",
-         "anisotropic-bosshat-expansion3"],
+         "anisotropic-bosshat-expansion3", "zero-points", "rho0-sweep-without-z0",
+         "log-from-zero", "plane-expansion3", "isphere-expansion3", "config-line-without-equals"],
 )
 def test_library_and_arithmetic_errors_exit_2(argv, needle, capsys, tmp_path):
     out = tmp_path / "scan.csv"
+    config = tmp_path / "bad.cfg"
+    config.write_text("z0 2\n")
+    argv = [str(config) if a == "CONFIG" else a for a in argv]
+    needle = needle.replace("CONFIG", str(config))
     if argv[0] == "scan":
         argv = argv + ["--out", str(out)]
     code, stdout, err = run_cli(capsys, *argv)
@@ -483,6 +502,23 @@ def test_library_and_arithmetic_errors_exit_2(argv, needle, capsys, tmp_path):
     assert stdout == ""
     assert err.startswith("vdwsurf: ") and err.count("\n") == 1
     assert needle in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("geometry", ["gsphere", "isphere"])
+def test_sphere_contact_error_names_the_center_distance(geometry, capsys, tmp_path):
+    out = tmp_path / "scan.csv"
+    # off the axis at z0 = 0: rho0 = -1 is the first grid point on the sphere
+    code, _, err = run_cli(
+        capsys, "scan", "--geometry", geometry, "--radius", "1", "--isotropic", "1",
+        "--var", "rho0", "--z0", "0", "--from", "-2", "--to", "2", "--points", "5",
+        "--out", str(out),
+    )
+    assert code == 3
+    assert err == (
+        "vdwsurf: region violation: at rho0=-1.0: "
+        "atom must sit outside the sphere (distance from its center > R)\n"
+    )
     assert not out.exists()
 
 

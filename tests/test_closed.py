@@ -90,6 +90,12 @@ def test_grounded_sphere_example():
         u_grounded_sphere(1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         u_grounded_sphere(1.0, 2.0, 0.0)
+    for a in (0.0, -1.0):
+        with pytest.raises(ContactError):
+            u_grounded_sphere_alpha(1.0, 1.0, a, 1.0)
+    for radius in (0.0, -1.0):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            u_grounded_sphere_alpha(1.0, 1.0, 1.0, radius)
 
 
 @given(gap=st.floats(0.05, 5.0), radius=st.floats(0.1, 10.0))
@@ -150,6 +156,8 @@ def test_xi_factors_at_zero_radius_recover_plane():
         assert factors.xi_rho == pytest.approx(1.0, rel=1e-14)
         assert factors.xi_phi == pytest.approx(1.0, rel=1e-14)
         assert factors.xi_z == pytest.approx(2.0, rel=1e-14)
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        xi_factors_corrected(-1.0, 0.7, 1.3)
 
 
 def test_xi_phi_on_axis_closed_form():
@@ -174,6 +182,9 @@ def test_expansion_window_enforced():
     with pytest.raises(ExpansionWindowError):
         u_bosshat_expansion3(1.0, 1.0, 1.0)    # s = 0 not inside
     u_sphere_expansion3(1.0, 1.3, 1.0)         # s = 0.3 is fine
+    for radius in (0.0, -1.0):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            u_sphere_expansion3(1.0, 1.3, radius)
 
 
 @pytest.mark.parametrize("form", [u_sphere_expansion3, u_bosshat_expansion3])
@@ -219,6 +230,8 @@ def test_fitted_cubic_coefficients_certify_series():
     assert coef_bh[3] - coef_sphere[3] == pytest.approx(0.5, abs=2e-3)
     with pytest.raises(ValueError):
         fit_expansion_coefficients(GeometryKind.PLANE)
+    with pytest.raises(ValueError, match="0 < lo < hi"):
+        fit_expansion_coefficients(GeometryKind.GROUNDED_SPHERE, window=(1e-2, 1e-4))
 
 
 def test_si_reduced_consistency():

@@ -14,7 +14,6 @@ from vdwsurf.geometry import (
     local_axes,
     physical_region,
     surface_distance,
-    to_cylindrical,
 )
 from vdwsurf.units import UnitSystem
 
@@ -24,8 +23,7 @@ coords = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 @given(x=coords, y=coords, z=coords)
 def test_cylindrical_round_trip(x, y, z):
     p = Position(x, y, z)
-    rho, phi, zz = to_cylindrical(p)
-    q = Position.from_cylindrical(rho, phi, zz)
+    q = Position(p.rho * math.cos(p.phi), p.rho * math.sin(p.phi), p.z)
     scale = max(1.0, p.norm)
     assert math.hypot(q.x - x, q.y - y) <= 1e-12 * scale
     assert q.z == z

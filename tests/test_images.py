@@ -240,6 +240,8 @@ def test_surface_sample_membership_and_determinism(config):
     assert pts.tobytes() == again.tobytes()
     different = surface_sample(config, 200, rng_seed=124)
     assert pts.tobytes() != different.tobytes()
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        surface_sample(config, 0, rng_seed=123)
 
 
 def test_bosshat_sample_covers_boss_and_brim():

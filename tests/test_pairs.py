@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vdwsurf.pairs import (
-    PairSpec,
     h_dipole_dipole,
     u_london,
     u_orientation,
@@ -59,6 +58,8 @@ def test_orientation_rejects_bad_inputs():
 def test_london_prefactor():
     got = u_london(2.0, 3.0, 1.0, RED)
     assert got == pytest.approx(-0.75 * 3.0 * 4.0, rel=1e-14)
+    with pytest.raises(ValueError):
+        u_london(2.0, 3.0, 0.0, RED)
 
 
 def test_wang_uses_electron_charge_and_bohr_radius():
@@ -69,11 +70,15 @@ def test_wang_uses_electron_charge_and_bohr_radius():
         SI.four_pi_epsilon0**2 * r**6
     )
     assert u_wang(r, SI) == pytest.approx(want, rel=1e-14)
+    with pytest.raises(ValueError):
+        u_wang(0.0, SI)
 
 
 def test_retarded_prefactor():
     got = u_retarded_cp(1.0, 1.0, 1.0, RED)
     assert got == pytest.approx(-23.0 / (4.0 * math.pi), rel=1e-14)
+    with pytest.raises(ValueError):
+        u_retarded_cp(1.0, 1.0, 0.0, RED)
 
 
 def test_dipole_dipole_special_cases():
@@ -88,10 +93,3 @@ def test_dipole_dipole_special_cases():
     assert got == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(ValueError):
         h_dipole_dipole((1, 0, 0), (1, 0, 0), (0, 0, 0), RED)
-
-
-def test_pair_spec_validation():
-    pair = PairSpec(p1=1e-29, p2=2e-29, alpha1=1e-40, alpha2=1e-40, omega0=1e16, temperature=300.0)
-    assert pair.temperature == 300.0
-    with pytest.raises(ValueError):
-        PairSpec(p1=-1.0, p2=0.0, alpha1=0.0, alpha2=0.0, omega0=0.0, temperature=0.0)

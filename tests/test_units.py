@@ -19,7 +19,6 @@ def test_reduced_combination_is_exactly_one():
 
 def test_si_constants():
     u = UnitSystem.si()
-    assert u.epsilon0 == pytest.approx(8.8541878128e-12, rel=1e-12)
     assert u.four_pi_epsilon0 == pytest.approx(4.0 * math.pi * 8.8541878128e-12, rel=1e-15)
     assert u.hbar == pytest.approx(1.054571817e-34, rel=1e-12)
     assert u.boltzmann == 1.380649e-23
