@@ -220,7 +220,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
     units, g, variances = _setup(args)
     try:
         result = _route(args.method)(g, variances, Position(args.rho0, 0.0, z0), units=units)
-    except (FloatingPointError, ZeroDivisionError) as exc:   # OverflowError names its point
+    except FloatingPointError as exc:   # OverflowError names its point
         exc.args = (f"at rho0={args.rho0!r}, z0={z0!r}: {exc}",)   # as scan names it
         raise
     if not (math.isfinite(result.value) and math.isfinite(result.err_estimate)):
@@ -268,7 +268,7 @@ def _normalization(
     else:
         lengths = surface_distance(g, positions)
     with np.errstate(all="ignore"):
-        scales = np.float_power(lengths, 3)   # the C pow of Python's **, as in vdwsurf.closed
+        scales = np.float_power(lengths, 3)   # the C pow that Python's ** calls, per element
     over = np.isinf(scales) & np.isfinite(lengths)
     if over.any():
         raise OverflowError(f"at {var}={xs[int(over.argmax())]!r}: --normalize {kind} overflows")

@@ -1,11 +1,14 @@
 """Closed-form dispersion energies for the four conductor geometries.
 
-energy_closed is the closed-form route: like energy_numeric and
-extrapolated_energy it takes DipoleVariances and a Position or an
-(N, 3) array of points.
-It picks the form of the geometry and checks that the spheres get
-isotropic variances.  The u_* forms, the scalar API, are also its
-kernels: they take arrays as well and give them the scalar bits.
+Each form is a kernel K_a(r0) per unit variance on three axes, and the
+energy is one contraction U = sum_a <d_a^2> K_a (_contract): the plane's
+-(1, 1, 2)/(16*4*pi*eps0)/z0^3 on (x, y, z), the spheres'
+-bracket/(6*4*pi*eps0) on every axis (isotropic variances only), the
+boss hat's -(xi_rho, xi_phi, xi_z)/(16*4*pi*eps0)/z0^3 on (rho, phi, z).
+Every form computes on arrays; the u_* forms, the scalar API, give a
+float for floats.  energy_closed is the closed-form route: like
+energy_numeric and extrapolated_energy it takes DipoleVariances and a
+Position, a batch of one, or an (N, 3) array of points.
 
 The hemisphere-on-plane ("boss hat") angular factors,
 xi_factors_corrected/u_bosshat_corrected, are derived from the image
@@ -37,6 +40,7 @@ from .geometry import (
     VarianceFrame,
     as_points,
     local_axes,
+    point_norms,
 )
 from .units import UnitSystem
 
@@ -47,89 +51,90 @@ _REDUCED = UnitSystem.reduced()
 SPHERE_EXPANSION_C3 = -0.875    # -7/8
 BOSSHAT_EXPANSION_C3 = -0.375   # -3/8
 
-# The forms below take floats or 1-D arrays of equal length and give an
-# array the bits of its floats: np.float_power calls the C pow of Python's
-# ** (np.power may differ in the last bit), np.sqrt rounds correctly as
-# math.sqrt does, and _hypot maps math.hypot (np.hypot may differ).
+
+def _contract(v: DipoleVariances, kernel, points: np.ndarray | None = None):
+    """sum_a <d_a^2> K_a.  A (rho, phi, z) kernel given with its points
+    is rotated to Cartesian variances at each point's azimuth, the rho-phi
+    covariance dropping out by mirror symmetry."""
+    if points is not None and v.frame is VarianceFrame.CARTESIAN:
+        c, s = local_axes(VarianceFrame.CYLINDRICAL_LOCAL, points)[:, 0, :2].T
+        c2, s2 = c * c, s * s
+        kernel = (c2 * kernel[0] + s2 * kernel[1], s2 * kernel[0] + c2 * kernel[1], kernel[2])
+    return v.m1 * kernel[0] + v.m2 * kernel[1] + v.m3 * kernel[2]
 
 
-def _power(x, n: int):
-    """x**n, raising OverflowError as ** does."""
-    if isinstance(x, np.ndarray):
-        with np.errstate(all="ignore"):
-            y = np.float_power(x, n)
-        over = np.isinf(y)
-        if over.any() and np.isfinite(x[over]).any():
-            raise OverflowError(f"x**{n} out of float range")
-        return y
-    return x**n
+def _check_range(over, points: np.ndarray | None = None) -> None:
+    """Raise OverflowError where over marks a power of a finite distance
+    that is inf, naming the first such point if the points are given."""
+    if over.any():
+        at = "" if points is None else " at (x, y, z) = (%r, %r, %r)" % tuple(
+            points[over.argmax()].tolist())
+        raise OverflowError(f"closed-form energy out of float range{at}: "
+                            "a power of the distance overflows")
 
 
-def _hypot(x, *coords):
-    """math.hypot, point by point on arrays."""
-    if isinstance(x, np.ndarray):
-        columns = (c.tolist() for c in (x, *coords))
-        return np.fromiter(map(math.hypot, *columns), float, len(x))
-    return math.hypot(x, *coords)
+def _scalar(value, *inputs: np.ndarray):
+    """value as a float where every input array is 0-d."""
+    return value if any(x.ndim for x in inputs) else float(value)
 
 
-def _sqrt(x):
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
-
-
-def _linear(energy, v: DipoleVariances):
-    """energy(v) of a form linear in the variances v, a float or an array.
-    Where it is not finite and the largest variance is 1 or more, a sum of
-    the variances may have overflowed: there it is energy(v * s) / s, s the
-    power of two that takes the largest variance into [0.5, 1).  Finite
-    values keep their bits."""
-    value = energy(v)
-    k = math.frexp(max(v.m1, v.m2, v.m3))[1]
-    if k <= 0 or np.isfinite(value).all():
-        return value
-    s = math.ldexp(1.0, -k)
-    again = energy(DipoleVariances(v.m1 * s, v.m2 * s, v.m3 * s, v.frame))
-    with np.errstate(over="ignore"):
-        again = again / s
-    return np.where(np.isfinite(value), value, again) if isinstance(value, np.ndarray) else again
+def _plane_kernel(z, units: UnitSystem, points: np.ndarray | None = None) -> tuple:
+    """The plane's kernel at heights z, of the points if given."""
+    if (z <= 0.0).any():
+        raise ContactError("atom must sit above the plane (z0 > 0)")
+    cube = z * z * z
+    _check_range(np.isinf(cube) & np.isfinite(z), points)
+    k = -1.0 / (16.0 * units.four_pi_epsilon0) / cube
+    return k, k, 2.0 * k
 
 
 def u_plane(
     variances: DipoleVariances, z0: float, units: UnitSystem = _REDUCED
 ) -> EnergyResult:
-    """Atom-plane dispersion energy -[<d_1^2>+<d_2^2>+2<d_3^2>]/(64*pi*eps0*|z0|^3).
+    """Atom-plane dispersion energy -[<d_1^2>+<d_2^2>+2<d_3^2>]/(64*pi*eps0*z0^3).
 
-    Valid on either side of the plane; only contact z0 = 0 is rejected.
+    The atom sits above the plane, z0 > 0; z0 <= 0 raises ContactError.
     The two transverse variance components enter symmetrically, so the
     frame tag does not matter here.
 
     >>> u_plane(DipoleVariances(0.0, 0.0, 1.0), 1.0).value
     -0.125
     """
-    if np.any(z0 == 0.0):
-        raise ContactError("zero distance to the plane")
-    cube = _power(abs(z0), 3)
+    z = np.asarray(z0, dtype=float)
     with np.errstate(over="ignore"):
-        denominator = 16.0 * units.four_pi_epsilon0 * cube
-    # 16 k |z0|^3 overflows a little before |z0|^3 does: there the energy
-    # is divided in two steps rather than left a silent -0.0
-    split = np.isinf(denominator) & np.isfinite(cube)
-
-    def energy(v: DipoleVariances):
-        value = -(v.m1 + v.m2 + 2.0 * v.m3) / denominator
-        if np.any(split):
-            two_steps = -(v.m1 + v.m2 + 2.0 * v.m3) / (16.0 * units.four_pi_epsilon0) / cube
-            value = np.where(split, two_steps, value) if isinstance(value, np.ndarray) else two_steps
-        return value
-
-    return EnergyResult(_linear(energy, variances), 0.0, Method.CLOSED_FORM, units.mode)
+        value = _contract(variances, _plane_kernel(z, units))
+    return EnergyResult(_scalar(value, z), 0.0, Method.CLOSED_FORM, units.mode)
 
 
-def _check_sphere(z0: float, radius: float) -> None:
+def _check_sphere(z0, radius: float) -> None:
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    if np.any(z0 <= radius):
+    if (z0 <= radius).any():
         raise ContactError("atom must sit outside the sphere (distance from its center > R)")
+
+
+def _sphere_kernel(rho2, z, radius: float, isolated: bool, units: UnitSystem, points=None) -> tuple:
+    """A sphere's kernel at (rho, z) about its centre, rho2 = rho^2, of the
+    points if given: 4 R^3/delta^3 + R/delta^2, less R/|r0|^4 if isolated,
+    in delta = |r0|^2 - R^2 = rho^2 + (z - R)(z + R), exact on the axis."""
+    delta = rho2 + (z - radius) * (z + radius)
+    d2 = delta * delta
+    d3 = d2 * delta
+    _check_range(np.isinf(d3) & np.isfinite(z), points)
+    bracket = 4.0 * radius**3 / d3 + radius / d2
+    if isolated:
+        r2 = rho2 + z * z
+        bracket = bracket - radius / (r2 * r2)
+    k = -bracket / (6.0 * units.four_pi_epsilon0)
+    return k, k, k
+
+
+def _sphere_energy(variance_total: float, z0, radius: float, isolated: bool, units: UnitSystem):
+    z = np.asarray(z0, dtype=float)
+    _check_sphere(z, radius)
+    with np.errstate(over="ignore"):
+        value = variance_total * _sphere_kernel(0.0, z, radius, isolated, units)[0]   # isotropic
+    return EnergyResult(_scalar(value, z), 0.0, Method.CLOSED_FORM, units.mode)
 
 
 def u_grounded_sphere(
@@ -140,14 +145,7 @@ def u_grounded_sphere(
     U = -(<d^2>/24*pi*eps0) * [4R^3/z0^6 (1-R^2/z0^2)^-3
                                + R/z0^4 (1-R^2/z0^2)^-2]
     """
-    _check_sphere(z0, radius)
-    gap = 1.0 - _power(radius / z0, 2)
-    bracket = (
-        4.0 * radius**3 / _power(z0, 6) / _power(gap, 3)
-        + radius / _power(z0, 4) / _power(gap, 2)
-    )
-    value = -variance_total * bracket / (6.0 * units.four_pi_epsilon0)
-    return EnergyResult(value, 0.0, Method.CLOSED_FORM, units.mode)
+    return _sphere_energy(variance_total, z0, radius, False, units)
 
 
 def u_grounded_sphere_alpha(
@@ -182,12 +180,7 @@ def u_isolated_sphere(
     Same as the grounded bracket with R/z0^4 subtracted inside the
     braces; always weaker than the grounded attraction, still negative.
     """
-    _check_sphere(z0, radius)
-    gap = 1.0 - _power(radius / z0, 2)
-    r_z4 = radius / _power(z0, 4)
-    bracket = 4.0 * radius**3 / _power(z0, 6) / _power(gap, 3) + r_z4 / _power(gap, 2) - r_z4
-    value = -variance_total * bracket / (6.0 * units.four_pi_epsilon0)
-    return EnergyResult(value, 0.0, Method.CLOSED_FORM, units.mode)
+    return _sphere_energy(variance_total, z0, radius, True, units)
 
 
 @dataclass(frozen=True)
@@ -212,6 +205,39 @@ def _check_bosshat_region(radius: float, rho0: float, z0: float) -> None:
         )
 
 
+def _xi(radius: float, rho, z, points: np.ndarray | None = None) -> tuple[BossHatXi, np.ndarray]:
+    """The corrected angular factors at arrays rho and z, of the points
+    if given, and z^3; d = rho^2 + (z - R)(z + R) is exact on the axis."""
+    _check_bosshat_region(radius, rho, z)
+    r2 = radius * radius
+    p2 = rho * rho
+    z2 = z * z
+    d = p2 + (z - radius) * (z + radius)
+    d3 = d * d * d
+    cube = z2 * z
+    _check_range((np.isinf(d3) | np.isinf(cube)) & np.isfinite(rho) & np.isfinite(z), points)
+    s = p2 + z2 + r2
+    a = s * s - 4.0 * r2 * p2
+    root = np.sqrt(a)
+    a32 = a * root
+    a52 = a * a * root
+    w = 8.0 * radius * cube
+    rz = r2 + z2
+    rz4 = rz * rz
+    zp = z2 + p2
+
+    num_rho = (rz4 - (r2 + p2 + 8.0 * z2) * p2) * r2 + zp * zp * p2
+    xi_rho = 1.0 - w * (num_rho / a52 - (p2 + r2) / d3)
+
+    xi_phi = 1.0 + w * r2 * (1.0 / d3 - 1.0 / a32)
+
+    w_z = (r2 - z2) * (rz4 + p2 * p2) - 2.0 * p2 * (
+        r2 * r2 + 4.0 * r2 * z2 + z2 * z2
+    )
+    xi_z = 2.0 + w * (rz / d3 + w_z / a52)
+    return BossHatXi(xi_rho, xi_phi, xi_z), cube
+
+
 def xi_factors_corrected(radius: float, rho0: float, z0: float) -> BossHatXi:
     """Boss-hat angular factors derived from the image construction.
 
@@ -222,35 +248,16 @@ def xi_factors_corrected(radius: float, rho0: float, z0: float) -> BossHatXi:
     [(R^2-z0^2)((R^2+z0^2)^2+rho0^4) - 2 rho0^2 (R^4+4R^2 z0^2+z0^4)]
     times (rho0^2+z0^2-R^2)^3.  The phi factor is identical.
     """
-    _check_bosshat_region(radius, rho0, z0)
-    r2 = radius * radius
-    p2 = rho0 * rho0
-    z2 = z0 * z0
-    a = _power(p2 + z2 + r2, 2) - 4.0 * r2 * p2
-    a32 = a * _sqrt(a)
-    a52 = a * a * _sqrt(a)
-    d3 = _power(p2 + z2 - r2, 3)
-    w = 8.0 * radius * _power(z0, 3)
-    rz4 = _power(r2 + z2, 2)
-
-    num_rho = (rz4 - (r2 + p2 + 8.0 * z2) * p2) * r2 + _power(z2 + p2, 2) * p2
-    xi_rho = 1.0 - w * (num_rho / a52 - (p2 + r2) / d3)
-
-    xi_phi = 1.0 + w * r2 * (1.0 / d3 - 1.0 / a32)
-
-    w_z = (r2 - z2) * (rz4 + p2 * p2) - 2.0 * p2 * (
-        r2 * r2 + 4.0 * r2 * z2 + z2 * z2
-    )
-    xi_z = 2.0 + w * ((r2 + z2) / d3 + w_z / a52)
-    return BossHatXi(xi_rho, xi_phi, xi_z)
+    rho, z = np.asarray(rho0, dtype=float), np.asarray(z0, dtype=float)
+    with np.errstate(over="ignore"):
+        xi, _ = _xi(radius, rho, z)
+    return BossHatXi(*(_scalar(f, rho, z) for f in (xi.xi_rho, xi.xi_phi, xi.xi_z)))
 
 
-def _u_from_xi(m: tuple, z0: float, xi: BossHatXi, units: UnitSystem) -> float:
-    """The energy of (rho, phi, z) variances m, floats or arrays."""
-    m1, m2, m3 = m
-    with np.errstate(over="ignore", invalid="ignore"):   # _linear takes an overflowing sum again
-        numerator = m1 * xi.xi_rho + m2 * xi.xi_phi + m3 * xi.xi_z
-    return -numerator / (16.0 * units.four_pi_epsilon0 * _power(z0, 3))
+def _xi_kernel(xi: BossHatXi, cube, units: UnitSystem) -> tuple:
+    """The boss-hat kernel per unit (rho, phi, z) variance, z0^3 = cube."""
+    c = 16.0 * units.four_pi_epsilon0
+    return -xi.xi_rho / c / cube, -xi.xi_phi / c / cube, -xi.xi_z / c / cube
 
 
 def u_bosshat_corrected(
@@ -260,16 +267,19 @@ def u_bosshat_corrected(
     radius: float,
     units: UnitSystem = _REDUCED,
 ) -> EnergyResult:
-    """Boss-hat dispersion energy from the corrected angular factors."""
-    xi = xi_factors_corrected(radius, rho0, z0)
-    value = _linear(lambda v: _u_from_xi((v.m1, v.m2, v.m3), z0, xi, units), variances)
-    return EnergyResult(value, 0.0, Method.CLOSED_FORM, units.mode)
+    """Boss-hat dispersion energy from the corrected angular factors;
+    the variances are read in the (rho, phi, z) frame."""
+    rho, z = np.asarray(rho0, dtype=float), np.asarray(z0, dtype=float)
+    with np.errstate(over="ignore"):
+        xi, cube = _xi(radius, rho, z)
+        value = _contract(variances, _xi_kernel(xi, cube, units))
+    return EnergyResult(_scalar(value, rho, z), 0.0, Method.CLOSED_FORM, units.mode)
 
 
 def isotropic_total(v: DipoleVariances, forms: str = "closed-form sphere energies") -> float:
-    """<d^2> of variances the sphere forms accept: components equal to
-    a relative 1e-9 of the total. The error names the forms asked for."""
-    if max(v.m1, v.m2, v.m3) - min(v.m1, v.m2, v.m3) > 1e-9 * max(v.total, 1e-300):
+    """<d^2> of variances the sphere forms accept: components within 3e-9
+    of the smallest, about 1e-9 of their total.  The error names the forms asked for."""
+    if max(v.m1, v.m2, v.m3) - min(v.m1, v.m2, v.m3) > 3e-9 * min(v.m1, v.m2, v.m3):
         raise ValueError(f"{forms} require isotropic variances; use the numeric or oracle route")
     return v.total
 
@@ -281,49 +291,31 @@ def energy_closed(
     units: UnitSystem = _REDUCED,
 ) -> EnergyResult:
     """Dispersion energy from the closed form of the geometry, for the
-    dipole variances of the atom.
+    dipole variances of the atom (isotropic ones for the spheres).
 
-    r0 is a Position, giving a float value, or an (N, 3) array of
-    positions, giving (N,) values equal to the per-point ones bit for
-    bit; err_estimate is 0.  The spheres take isotropic variances only,
-    at the centre distance of r0.  The boss-hat form reads (rho, phi, z)
-    variances: Cartesian ones are rotated to the azimuth of each point,
-    (m1 cos^2 + m2 sin^2, m1 sin^2 + m2 cos^2, m3), the rho-phi
-    covariance dropping out by mirror symmetry.  Where a power of a
-    distance overflows, the OverflowError names the first such point;
-    where only a sum of the variances overflows, the energy is finite.
+    r0 is a Position, a batch of one giving a float value, or an (N, 3)
+    array of positions, giving (N,) values; err_estimate is 0.  Where a
+    power of a distance overflows, the OverflowError names the first
+    such point; an energy that overflows is -inf.  Division and invalid
+    operations follow the caller's np.errstate.
     """
-    single = isinstance(r0, Position)
-    x, y, z = (r0.x, r0.y, r0.z) if single else as_points(r0).reshape(-1, 3).T
-    try:
+    points = as_points(r0).reshape(-1, 3)
+    x, y, z = points.T
+    with np.errstate(over="ignore"):
         if g.kind is GeometryKind.PLANE:
-            result = u_plane(variances, z, units)
+            value = _contract(variances, _plane_kernel(z, units, points))
         elif g.kind is GeometryKind.BOSS_HAT:
-            c2, s2 = 1.0, 0.0   # (rho, phi, z) variances: m1 * 1 + m2 * 0 is m1
-            if variances.frame is VarianceFrame.CARTESIAN:
-                e_rho = np.asarray(local_axes(VarianceFrame.CYLINDRICAL_LOCAL, r0))[..., 0, :]
-                c2, s2 = e_rho[..., 0] ** 2, e_rho[..., 1] ** 2
-            xi = xi_factors_corrected(g.radius, _hypot(x, y), z)
-            value = _linear(lambda v: _u_from_xi(
-                (v.m1 * c2 + v.m2 * s2, v.m1 * s2 + v.m2 * c2, v.m3), z, xi, units), variances)
-            result = EnergyResult(value, 0.0, Method.CLOSED_FORM, units.mode)
+            xi, cube = _xi(g.radius, np.hypot(x, y), z, points)
+            value = _contract(variances, _xi_kernel(xi, cube, units), points)
         else:
-            form = u_grounded_sphere if g.kind is GeometryKind.GROUNDED_SPHERE else u_isolated_sphere
-            r = _hypot(x, y, z)
-            value = _linear(lambda v: form(isotropic_total(v), r, g.radius, units).value, variances)
-            result = EnergyResult(value, 0.0, Method.CLOSED_FORM, units.mode)
-    except OverflowError:
-        if single:
-            raise OverflowError(
-                f"closed-form energy out of float range at (x, y, z) = ({x!r}, {y!r}, {z!r}):"
-                " a power of the distance overflows"
-            ) from None
-        for point in zip(x.tolist(), y.tolist(), z.tolist()):
-            energy_closed(g, variances, Position(*point), units)   # raises at the first such point
-        raise
-    if single:
-        return EnergyResult(float(result.value), 0.0, result.method, result.units)
-    return EnergyResult(result.value, np.zeros_like(result.value), result.method, result.units)
+            isotropic_total(variances)
+            rho2 = x * x + y * y
+            _check_sphere(point_norms(points), g.radius)   # the numeric route's region
+            isolated = g.kind is GeometryKind.ISOLATED_SPHERE
+            value = _contract(variances, _sphere_kernel(rho2, z, g.radius, isolated, units, points))
+    if isinstance(r0, Position):
+        return EnergyResult(float(value[0]), 0.0, Method.CLOSED_FORM, units.mode)
+    return EnergyResult(value, np.zeros_like(value), Method.CLOSED_FORM, units.mode)
 
 
 def _expansion3(
@@ -331,18 +323,22 @@ def _expansion3(
 ) -> EnergyResult:
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    s = (z0 - radius) / radius
+    a = np.asarray(z0, dtype=float) - radius
+    s = a / radius
     if not np.all((0.0 < s) & (s < 0.5)):
         raise ExpansionWindowError(
             "near-contact expansion valid only for 0 < (z0-R)/R < 0.5"
         )
-    a = z0 - radius
-    bracket = 1.0 - s + s * s + c3 * _power(s, 3)
-    value = -variance_total * bracket / (12.0 * units.four_pi_epsilon0 * _power(a, 3))
+    s3 = s * s * s
+    with np.errstate(over="ignore"):
+        a3 = a * a * a
+    _check_range(np.isinf(a3) & np.isfinite(a))
+    bracket = 1.0 - s + s * s + c3 * s3
+    value = -variance_total * bracket / (12.0 * units.four_pi_epsilon0 * a3)
     # Remainder of the truncated series; the 5 s^4 envelope is measured
     # against the exact forms in the tests.
-    err = abs(value) * 5.0 * _power(s, 4)
-    return EnergyResult(value, err, Method.EXPANSION3, units.mode)
+    err = abs(value) * 5.0 * (s3 * s)
+    return EnergyResult(_scalar(value, a), _scalar(err, a), Method.EXPANSION3, units.mode)
 
 
 def u_sphere_expansion3(
@@ -370,17 +366,18 @@ def u_bosshat_expansion3(
 
 
 def sphere_bracket(s: float) -> float:
-    """Dimensionless near-contact bracket B(s) of the grounded sphere,
-    normalized so B(0) = 1: U = -<d^2> B(s)/(48*pi*eps0*a^3), a = sR."""
+    """Dimensionless near-contact bracket B(s) of the grounded sphere, at
+    a float or an array s, normalized so B(0) = 1:
+    U = -<d^2> B(s)/(48*pi*eps0*a^3), a = sR."""
     u = u_grounded_sphere(1.0, 1.0 + s, 1.0, _REDUCED)
-    return -12.0 * s**3 * u.value
+    return -12.0 * (s * s * s) * u.value
 
 
 def bosshat_axis_bracket(s: float) -> float:
     """Same normalization for the isotropic on-axis boss-hat energy."""
     v = DipoleVariances.isotropic(1.0, VarianceFrame.CYLINDRICAL_LOCAL)
     u = u_bosshat_corrected(v, 0.0, 1.0 + s, 1.0, _REDUCED)
-    return -12.0 * s**3 * u.value
+    return -12.0 * (s * s * s) * u.value
 
 
 def fit_expansion_coefficients(
@@ -406,7 +403,7 @@ def fit_expansion_coefficients(
     if not 0.0 < lo < hi:
         raise ValueError("window must satisfy 0 < lo < hi")
     s = np.logspace(math.log10(lo), math.log10(hi), n_points)
-    y = np.array([bracket(si) for si in s])
+    y = bracket(s)
     powers = np.arange(orders)
     design = np.power.outer(s, powers)
     col_scale = np.power(hi, powers)   # condition the Vandermonde columns

@@ -86,9 +86,10 @@ def energy_numeric(
     size = np.maximum((np.abs(first) + np.abs(second)) * np.maximum(inv3, _TINY), _TINY)
     bound = np.add.reduce(size * cond)
 
-    # 1/(2 eps0) times the 1/(4 pi) of G_H, written via 4*pi*eps0
-    scale = 0.5 / units.four_pi_epsilon0
-    m = weights[active][:, None]
+    # 1/(2 eps0) times the 1/(4 pi) of G_H via 4*pi*eps0, the 1/2 in the
+    # variances (exact), so that the sum overflows only where the energy does
+    scale = 1.0 / units.four_pi_epsilon0
+    m = 0.5 * weights[active][:, None]
     value = scale * np.add.reduce(m * total)
     err = 8.0 * _EPS * scale * np.add.reduce(np.maximum(m * bound, _TINY))
     if isinstance(r0, Position):

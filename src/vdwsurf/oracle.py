@@ -137,7 +137,7 @@ def extrapolated_energy(
     np.multiply(h_values, e, out=tip)
     np.add(base, tip, out=tip)
     q = np.sqrt(np.array(weights)[active])[:, None, None] / h_values
-    with np.errstate(over="ignore"):   # the C pow of Python's **, as in vdwsurf.closed
+    with np.errstate(over="ignore"):   # the C pow that Python's ** calls, per element
         q_squared = np.float_power(q, 2.0)
     if (np.isinf(q_squared) & np.isfinite(q)).any():
         raise OverflowError("finite-dipole charge squared q^2 = <d_m^2>/h^2 overflows")

@@ -73,6 +73,14 @@ def test_energy_region_violation_exits_3(capsys):
     assert "region" in err
 
 
+@pytest.mark.parametrize("method", ["closed", "numeric", "oracle"])
+def test_every_method_rejects_an_atom_below_the_plane(method, capsys):
+    code, out, err = run_cli(capsys, "energy", "--geometry", "plane", "--z0", "-1",
+                             "--isotropic", "1", "--method", method)
+    assert (code, out) == (3, "")
+    assert err.startswith("vdwsurf: region violation: ")
+
+
 def test_energy_missing_variances_exits_2(capsys):
     code, _, err = run_cli(capsys, "energy", "--geometry", "plane", "--z0", "1")
     assert code == 2
@@ -420,9 +428,9 @@ def test_scan_expansion3_method(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv,needle",
     [
-        # ZeroDivisionError in the closed form
+        # numpy's FloatingPointError on a division by zero in the closed form
         (["energy", "--geometry", "plane", "--isotropic", "1e308", "--z0", "1e-300"],
-         "at rho0=0.0, z0=1e-300: float division by zero"),
+         "at rho0=0.0, z0=1e-300: divide by zero encountered in divide"),
         # numpy's FloatingPointError in the G_H routes names the point, as a scan does
         (["energy", "--geometry", "isphere", "--radius", "1", "--z0", "1e200", "--isotropic", "1",
           "--method", "numeric"], "at rho0=0.0, z0=1e+200: overflow"),
@@ -638,6 +646,20 @@ def test_closed_energy_is_finite_where_the_variance_sum_overflows(geometry, vari
     closed, numeric = energies
     assert math.isfinite(closed["energy"])
     assert abs(closed["energy"] - numeric["energy"]) <= numeric["err_estimate"]
+
+
+def test_numeric_energy_is_finite_where_the_variance_sum_overflows(capsys):
+    # 0.5 times the variances, exact, enter the sum, so it overflows only
+    # where the energy does: -(m1 + m2 + 2 m3)/(16 z0^3) at z0 = 0.6
+    flags = ["--geometry", "plane", "--z0", "0.6", "--variances", "1e308,1e308,1e308"]
+    energies = {}
+    for method in ("numeric", "closed"):
+        code, out, err = run_cli(capsys, "energy", *flags, "--method", method)
+        assert (code, err) == (0, "")
+        energies[method] = json.loads(out)
+    numeric = energies["numeric"]
+    assert numeric["energy"] == -1.1574074074074076e+308
+    assert abs(energies["closed"]["energy"] - numeric["energy"]) <= numeric["err_estimate"]
 
 
 @pytest.mark.parametrize(
@@ -1045,12 +1067,11 @@ def test_closed_energy_out_of_float_range_exits_2_naming_the_input(
 
 def _point_by_point_closed_csv(geometry, radius, variances, var, fixed, grid, normalize):
     """The scan CSV as the point-by-point loop wrote it before the closed
-    route was batched: the scalar forms at each sorted grid value, the
-    scale of each point applied with Python floats, one f-string a row."""
-    from vdwsurf.closed import (
-        u_bosshat_corrected, u_grounded_sphere, u_isolated_sphere, u_plane,
-    )
-    from vdwsurf.geometry import GeometryConfig, surface_distance
+    route was batched: the closed route at each sorted grid value, a
+    Position, the scale of each point applied with Python floats, one
+    f-string a row."""
+    from vdwsurf.closed import energy_closed
+    from vdwsurf.geometry import GeometryConfig, Position, surface_distance
 
     g = {"plane": GeometryConfig.plane, "gsphere": GeometryConfig.grounded_sphere,
          "isphere": GeometryConfig.isolated_sphere, "bosshat": GeometryConfig.boss_hat}
@@ -1059,13 +1080,7 @@ def _point_by_point_closed_csv(geometry, radius, variances, var, fixed, grid, no
     rows = ["x,value,err,method\n"]
     for x in xs:
         rho0, z0 = (fixed, x) if var == "z0" else (x, fixed)
-        if geometry == "plane":
-            result = u_plane(variances, z0)
-        elif geometry == "bosshat":
-            result = u_bosshat_corrected(variances, rho0, z0, radius)
-        else:
-            form = u_grounded_sphere if geometry == "gsphere" else u_isolated_sphere
-            result = form(variances.total, math.hypot(rho0, z0), radius)
+        result = energy_closed(g, variances, Position(rho0, 0.0, z0))
         if normalize == "none":
             scale = 1.0
         elif normalize == "R3":
@@ -1080,7 +1095,7 @@ def _point_by_point_closed_csv(geometry, radius, variances, var, fixed, grid, no
 # (flags, swept variable, fixed coordinate, from, to) of each sweep; the
 # near-contact ends sit 1e-6 R and, on a log grid, 1e-9 R from the surface
 _CLOSED_SWEEPS = {
-    "plane": [("z0", 0.0, -2.0, 3.0, False), ("rho0", 0.7, -3.0, 3.0, False),
+    "plane": [("z0", 0.0, 1e-6, 3.0, False), ("rho0", 0.7, -3.0, 3.0, False),
               ("z0", -0.4, 1e-9, 1e3, True)],
     "gsphere": [("z0", 0.0, 1.3 * (1 + 1e-6), 6.0, False), ("rho0", 1.5, -4.0, 4.0, False),
                 ("z0", 0.0, 1.3 * (1 + 1e-9), 1e3, True)],

@@ -26,6 +26,7 @@ from vdwsurf.geometry import (
 from vdwsurf.images import build_green, g_h
 from vdwsurf.oracle import extrapolated_energy
 from vdwsurf.closed import (
+    energy_closed,
     u_bosshat_corrected,
     u_grounded_sphere,
     u_isolated_sphere,
@@ -110,6 +111,17 @@ def test_numeric_bound_covers_subnormal_energies(z0):
         exact = -(Fraction(v.m1) + Fraction(v.m2) + 2 * Fraction(v.m3)) / (16 * Fraction(z0) ** 3)
         assert abs(Fraction(got.value) - exact) <= Fraction(got.err_estimate)
         assert 0.0 < got.err_estimate < 1e-12 * abs(got.value) + 1e-320
+
+
+def test_numeric_energy_is_finite_where_the_variance_sum_overflows():
+    # beside the boss at z0 = 0.6 the energy is about -1.16e308: the
+    # variance-weighted sum of the axes overflowed before it
+    g = GeometryConfig.boss_hat(1.0)
+    v = DipoleVariances(1e308, 1e308, 1e308)
+    with np.errstate(over="raise"):
+        got = energy_numeric(g, v, Position(3.0, 0.4, 0.6))
+    want = energy_closed(g, v, Position(3.0, 0.4, 0.6)).value
+    assert math.isfinite(got.value) and abs(got.value - want) <= got.err_estimate
 
 
 def test_numeric_bound_is_unchanged_in_the_normal_range():
