@@ -12,9 +12,14 @@ second window, the first one scaled by 2, moves it. The higher orders
 absorb the truncated tail of the series, so their spread is large
 (about 1e-2 for s^4 and 0.5 to 1 for s^5 with the default window):
 read them to the digits the spread leaves, not to all six decimals.
+
+Exits 1, naming the coefficient, if a fitted coefficient of s^0 to s^3
+strays from its analytic value by more than TOLERANCE, which the fit
+over the default window meets.
 """
 
 import argparse
+import sys
 
 from vdwsurf import GeometryKind
 from vdwsurf.closed import (
@@ -23,8 +28,10 @@ from vdwsurf.closed import (
     fit_expansion_coefficients,
 )
 
+TOLERANCE = 5e-5
 
-def main() -> None:
+
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--orders", type=int, default=6)
     parser.add_argument("--window", type=float, nargs=2, default=(1e-4, 1e-2))
@@ -37,6 +44,7 @@ def main() -> None:
     }
     window = tuple(args.window)
     second = (2.0 * window[0], 2.0 * window[1])
+    strays = []
     for kind, expected in analytic.items():
         coef, coef2 = (
             fit_expansion_coefficients(kind, orders=args.orders, window=w, n_points=args.points)
@@ -47,7 +55,11 @@ def main() -> None:
         for order, (c, c2) in enumerate(zip(coef, coef2)):
             line = f"  s^{order}: {c:+.6f}  spread {abs(c - c2):.1e}"
             if order < len(expected):
-                line += f"   (analytic {expected[order]:+.4f}, dev {abs(c - expected[order]):.2e})"
+                dev = abs(c - expected[order])
+                line += f"   (analytic {expected[order]:+.4f}, dev {dev:.2e})"
+                if dev > TOLERANCE:
+                    strays.append(f"{kind.value} s^{order}: fitted {c:+.6f}, "
+                                  f"analytic {expected[order]:+.4f}, dev {dev:.2e} > {TOLERANCE:.0e}")
             print(line)
     dev = abs(
         fit_expansion_coefficients(GeometryKind.BOSS_HAT)[3] - SPHERE_EXPANSION_C3
@@ -56,7 +68,10 @@ def main() -> None:
         f"boss-hat c3 distance from the sphere value -7/8: {dev:.4f}"
         " (= 1/2, the plane-mirror contribution)"
     )
+    for stray in strays:
+        sys.stderr.write(f"fit_expansion_coefficients: {stray}\n")
+    return 1 if strays else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .closed import _REDUCED, BossHatXi, _check_bosshat_region, _contract, _xi_kernel
+from .closed import _REDUCED, BossHatXi, _check_bosshat_region, _xi_kernel
 from .geometry import DipoleVariances, EnergyResult, Method, Position
 from .images import FOUR_PI
 from .units import UnitSystem
@@ -87,7 +87,7 @@ def u_bosshat(
     (identical on the axis).
     """
     xi = xi_factors(radius, rho0, z0)
-    value = _contract(variances, _xi_kernel(xi, z0**3, units))
+    value = variances.contract(_xi_kernel(xi, z0**3, units))
     return EnergyResult(value, 0.0, Method.CLOSED_FORM, units.mode)
 
 

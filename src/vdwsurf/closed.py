@@ -1,7 +1,7 @@
 """Closed-form dispersion energies for the four conductor geometries.
 
-Each form is a kernel K_a(r0) per unit variance on three axes, and the
-energy is one contraction U = sum_a <d_a^2> K_a (_contract): the plane's
+Each form is a kernel K_a(r0) per unit variance on three axes, and the energy
+is U = sum_a <d_a^2> K_a (DipoleVariances.contract, as in every route): the plane's
 -(1, 1, 2)/(16*4*pi*eps0)/z0^3 on (x, y, z), the spheres'
 -bracket/(6*4*pi*eps0) on every axis (isotropic variances only), the
 boss hat's -(xi_rho, xi_phi, xi_z)/(16*4*pi*eps0)/z0^3 on (rho, phi, z).
@@ -52,15 +52,14 @@ SPHERE_EXPANSION_C3 = -0.875    # -7/8
 BOSSHAT_EXPANSION_C3 = -0.375   # -3/8
 
 
-def _contract(v: DipoleVariances, kernel, points: np.ndarray | None = None):
-    """sum_a <d_a^2> K_a.  A (rho, phi, z) kernel given with its points
-    is rotated to Cartesian variances at each point's azimuth, the rho-phi
-    covariance dropping out by mirror symmetry."""
-    if points is not None and v.frame is VarianceFrame.CARTESIAN:
-        c, s = local_axes(VarianceFrame.CYLINDRICAL_LOCAL, points)[:, 0, :2].T
-        c2, s2 = c * c, s * s
-        kernel = (c2 * kernel[0] + s2 * kernel[1], s2 * kernel[0] + c2 * kernel[1], kernel[2])
-    return v.m1 * kernel[0] + v.m2 * kernel[1] + v.m3 * kernel[2]
+def _in_frame(v: DipoleVariances, kernel, points: np.ndarray) -> tuple:
+    """A (rho, phi, z) kernel at the points in the frame of v: rotated to each point's azimuth
+    for Cartesian variances, the rho-phi covariance dropping out by mirror symmetry."""
+    if v.frame is VarianceFrame.CYLINDRICAL_LOCAL:
+        return kernel
+    c, s = local_axes(VarianceFrame.CYLINDRICAL_LOCAL, points)[:, 0, :2].T
+    c2, s2 = c * c, s * s
+    return c2 * kernel[0] + s2 * kernel[1], s2 * kernel[0] + c2 * kernel[1], kernel[2]
 
 
 def _check_range(over, points: np.ndarray | None = None) -> None:
@@ -102,7 +101,7 @@ def u_plane(
     """
     z = np.asarray(z0, dtype=float)
     with np.errstate(over="ignore"):
-        value = _contract(variances, _plane_kernel(z, units))
+        value = variances.contract(_plane_kernel(z, units))
     return EnergyResult(_scalar(value, z), 0.0, Method.CLOSED_FORM, units.mode)
 
 
@@ -272,7 +271,7 @@ def u_bosshat_corrected(
     rho, z = np.asarray(rho0, dtype=float), np.asarray(z0, dtype=float)
     with np.errstate(over="ignore"):
         xi, cube = _xi(radius, rho, z)
-        value = _contract(variances, _xi_kernel(xi, cube, units))
+        value = variances.contract(_xi_kernel(xi, cube, units))
     return EnergyResult(_scalar(value, rho, z), 0.0, Method.CLOSED_FORM, units.mode)
 
 
@@ -303,16 +302,16 @@ def energy_closed(
     x, y, z = points.T
     with np.errstate(over="ignore"):
         if g.kind is GeometryKind.PLANE:
-            value = _contract(variances, _plane_kernel(z, units, points))
+            value = variances.contract(_plane_kernel(z, units, points))
         elif g.kind is GeometryKind.BOSS_HAT:
             xi, cube = _xi(g.radius, np.hypot(x, y), z, points)
-            value = _contract(variances, _xi_kernel(xi, cube, units), points)
+            value = variances.contract(_in_frame(variances, _xi_kernel(xi, cube, units), points))
         else:
             isotropic_total(variances)
             rho2 = x * x + y * y
             _check_sphere(point_norms(points), g.radius)   # the numeric route's region
             isolated = g.kind is GeometryKind.ISOLATED_SPHERE
-            value = _contract(variances, _sphere_kernel(rho2, z, g.radius, isolated, units, points))
+            value = variances.contract(_sphere_kernel(rho2, z, g.radius, isolated, units, points))
     if isinstance(r0, Position):
         return EnergyResult(float(value[0]), 0.0, Method.CLOSED_FORM, units.mode)
     return EnergyResult(value, np.zeros_like(value), Method.CLOSED_FORM, units.mode)
@@ -402,7 +401,7 @@ def fit_expansion_coefficients(
     lo, hi = window
     if not 0.0 < lo < hi:
         raise ValueError("window must satisfy 0 < lo < hi")
-    s = np.logspace(math.log10(lo), math.log10(hi), n_points)
+    s = (1.0 + np.logspace(math.log10(lo), math.log10(hi), n_points)) - 1.0   # as 1 + s sees it
     y = bracket(s)
     powers = np.arange(orders)
     design = np.power.outer(s, powers)

@@ -11,8 +11,8 @@ the image location L in r' (images.image_records), each image adds
     H(u) = (3 u u^T - |u|^2 I)/|u|^5.
 
 Only diagonal axis pairs are needed because the dipole covariance is
-diagonal in the chosen basis.  There is no step: the error is rounding
-alone, bounded term by term.
+diagonal in the chosen basis; DipoleVariances.contract weights them.
+There is no step: the error is rounding alone, bounded term by term.
 """
 
 from __future__ import annotations
@@ -50,10 +50,10 @@ def energy_numeric(
 
     r0 is a Position, giving float value and err_estimate, or an (N, 3)
     array of positions, giving (N,) arrays equal to the per-point
-    results.  err_estimate bounds the rounding error: 8*eps times the
-    variance-weighted sum of the absolute image terms, each Kelvin term
-    scaled by (1 + |r0|/|u|), as u = r0 - L cancels near the sphere.
-    Magnitudes under the normal range count as its least, the scale of underflow.
+    results: variances.contract of the kernel on the three axes of the frame.
+    err_estimate bounds the rounding error: 8*eps times the contraction of the absolute
+    image terms, each Kelvin term scaled by (1 + |r0|/|u|), as u = r0 - L cancels near the
+    sphere.  Magnitudes under the normal range count as its least, the scale of underflow.
 
     For cylindrical-frame variances the three derivative directions are
     rotated so components follow (rho-hat, phi-hat, z-hat) at the atom's
@@ -62,12 +62,10 @@ def energy_numeric(
     points = as_points(r0).reshape(-1, 3)
     if not np.all(surface_distance(g, points) > 0.0):
         raise RegionError("r0 must lie strictly inside the physical region")
-    weights = np.array((variances.m1, variances.m2, variances.m3))
-    active = np.flatnonzero(weights)
 
-    # Components first, points last: r (3, 1, N), e (3, A, N) for the A active axes.
+    # Components first, points last: r (3, 1, N), e (3, 3, N) for the three axes of the frame.
     r = np.ascontiguousarray(points.T)[:, None]
-    e = np.ascontiguousarray(local_axes(variances.frame, points)[:, active].T)
+    e = np.ascontiguousarray(local_axes(variances.frame, points).T)
     norm = np.sqrt(_dot(r, r))
     w, grad_w, loc, j_e, kelvin = image_records(build_green(g), r, e)
     u, dist = _distances(points, r, norm, loc)                     # (3, K, 1, N), (K, 1, N)
@@ -76,22 +74,21 @@ def energy_numeric(
     # overflows before the energy does.
     e = e[:, None]
     inv = 1.0 / dist
-    u_e = _dot(u, e) * inv                                         # (K, A, N)
+    u_e = _dot(u, e) * inv                                         # (K, 3, N)
     first = _dot(grad_w, e) * u_e * dist
     second = w * (3.0 * u_e * (_dot(u, j_e) * inv) - _dot(e, j_e))
-    inv3 = inv * inv * inv
-    total = -np.add.reduce((first + second) * inv3)                # (A, N)
+    # with the 1/2 of 1/(2 eps0), exact: no kernel overflows before its unit-variance energy
+    inv3 = 0.5 * inv * inv * inv
+    total = -np.add.reduce((first + second) * inv3)                # (3, N)
     cond = np.where(kelvin[:, None, None], 1.0 + norm * inv, 1.0)
     # below the normal range, rounding errors are absolute: up to eps/2 * _TINY
     size = np.maximum((np.abs(first) + np.abs(second)) * np.maximum(inv3, _TINY), _TINY)
     bound = np.add.reduce(size * cond)
 
-    # 1/(2 eps0) times the 1/(4 pi) of G_H via 4*pi*eps0, the 1/2 in the
-    # variances (exact), so that the sum overflows only where the energy does
+    # the 1/(4 pi) of G_H, via 4*pi*eps0; bound >= |total|, so err is inf wherever value is
     scale = 1.0 / units.four_pi_epsilon0
-    m = 0.5 * weights[active][:, None]
-    value = scale * np.add.reduce(m * total)
-    err = 8.0 * _EPS * scale * np.add.reduce(np.maximum(m * bound, _TINY))
+    value = variances.contract(scale * total)
+    err = 8.0 * _EPS * np.maximum(variances.contract(scale * bound), _TINY)
     if isinstance(r0, Position):
         return EnergyResult(float(value[0]), float(err[0]), Method.NUMERIC_EZ, units.mode)
     return EnergyResult(value, err, Method.NUMERIC_EZ, units.mode)

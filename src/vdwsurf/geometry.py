@@ -141,6 +141,11 @@ class DipoleVariances:
     def total(self) -> float:
         return self.m1 + self.m2 + self.m3
 
+    def contract(self, kernel):
+        """sum_a <d_a^2> K_a of a kernel per unit variance on the frame's
+        axes: the energy in every route, never a sum of the variances."""
+        return self.m1 * kernel[0] + self.m2 * kernel[1] + self.m3 * kernel[2]
+
     @classmethod
     def isotropic(
         cls, total: float, frame: VarianceFrame = VarianceFrame.CARTESIAN

@@ -11,7 +11,8 @@ dispersion term (1/2*eps0) <d_m^2> d_m d'_m G_H.  extrapolated_energy
 centers each pair on the atom position (base = r0 - (h/2) e), which
 cancels the odd powers of h in the error expansion, then extrapolates to h = 0 by
 a {1, x, x^2} least-squares fit in x = (h/ell)^2 at fixed h/ell: a constant map.
-All charges lie components first in one (3, 2, A, N, K) array for one G_H call.
+No charge position depends on v, so each axis is sampled at unit variance and v enters once,
+in DipoleVariances.contract.  All charges lie in one (3, 2, 3, N, K) array for one G_H call.
 
 This path shares only the image construction with the closed forms and
 the numeric evaluator; the differentiation is replaced by physical
@@ -108,14 +109,15 @@ def extrapolated_energy(
     """Dispersion energy by finite-dipole h -> 0 extrapolation, for the
     dipole variances of the atom.
 
-    Per variance axis, a centered pair with q h = sqrt(<d_m^2>) is sampled
-    at h_j = f_j ell and a0 = sum_j c0_j s_j by the fit map.  A fit error
-    max(residual, change of a0 without x^2) above _FIT_RTOL max(|a0|, |s_j|)
-    raises ExtrapolationError naming the axis of the first failing point.
-    err_estimate adds the samples' rounding, 8 eps sum_j |c0_j| (q_j^2/2 eps0)
-    sum|G_H|_j (1 + f_j |r0|/ell): the G_H cancel by (h/ell)^2, and the
-    coordinates, rounded at eps |r0|, move a pair by eps |r0|/h_j.  A term of
-    the sum under the normal range counts as its least, the scale of underflow.
+    Per axis of the frame, a centered unit-variance pair is sampled at h_j = f_j ell,
+    times ell^2 (q^2 = 1/f_j^2), and a0 = sum_j c0_j s_j by the fit map.  A fit error
+    max(residual, change of a0 without x^2) above _FIT_RTOL max(|a0|, |s_j|) on an axis
+    of non-zero variance raises ExtrapolationError naming the axis of the first failing
+    point.  The value is variances.contract(a0)/ell/ell, so that only its last steps may
+    leave the normal range.  err_estimate contracts likewise the fit error plus the samples'
+    rounding, 8 eps sum_j |c0_j| (q_j^2/2 eps0) sum|G_H|_j (1 + f_j |r0|/ell): the G_H cancel
+    by (h/ell)^2, and the coordinates, rounded at eps |r0|, move a pair by eps |r0|/h_j.
+    It is at least 8 eps times the least normal magnitude, the scale of underflow.
 
     r0 is a Position, giving float value and err_estimate, or an (N, 3) array of positions,
     giving (N,) arrays equal to the per-point results: one G_H call, then K multiply-adds.
@@ -125,24 +127,18 @@ def extrapolated_energy(
     if not (ell > 0.0).all():
         raise RegionError("r0 must lie strictly inside the physical region")
     fractions = tuple(DEFAULT_H_FRACTIONS)
-    h_values = ell[:, None] * np.array(fractions)                 # (N, K)
+    f = np.array(fractions)
+    h_values = ell[:, None] * f                                   # (N, K)
 
-    weights = (variances.m1, variances.m2, variances.m3)
-    active = [m for m in range(3) if weights[m] != 0.0]
-    e = local_axes(variances.frame, points)[:, active].transpose(2, 1, 0)[..., None]   # (3, A, N, 1)
-    charges = np.empty((3, 2, len(active)) + h_values.shape)   # (3, 2, A, N, K): base, tip
+    e = local_axes(variances.frame, points).transpose(2, 1, 0)[..., None]   # (3, 3, N, 1)
+    charges = np.empty((3, 2, 3) + h_values.shape)   # (3, 2, 3, N, K): base, tip
     base, tip = charges[:, 0], charges[:, 1]
     np.multiply(0.5 * h_values, e, out=base)
     np.subtract(points.T[:, None, :, None], base, out=base)       # centered pairs
     np.multiply(h_values, e, out=tip)
     np.add(base, tip, out=tip)
-    q = np.sqrt(np.array(weights)[active])[:, None, None] / h_values
-    with np.errstate(over="ignore"):   # the C pow that Python's ** calls, per element
-        q_squared = np.float_power(q, 2.0)
-    if (np.isinf(q_squared) & np.isfinite(q)).any():
-        raise OverflowError("finite-dipole charge squared q^2 = <d_m^2>/h^2 overflows")
     pair = charges.transpose(1, 2, 3, 4, 0)                       # components-last views
-    samples, size = _pair_energies(build_green(g), pair, q_squared, units)
+    samples, size = _pair_energies(build_green(g), pair, 1.0 / (f * f), units)   # times ell^2
 
     fit_map = _fit_map(fractions)   # (2 + K, K), applied one sample index at a time
     fit = sum(fit_map.T[:, :, None, None] * samples.transpose(2, 0, 1)[:, None])
@@ -150,13 +146,14 @@ def extrapolated_energy(
     err_fit = np.maximum(np.abs(fit[2:]).max(axis=0), np.abs(a0 - fit[1]))
     scale = np.maximum(np.abs(a0), np.abs(samples).max(axis=-1))
     failed = err_fit > _FIT_RTOL * scale   # never where scale is 0: then every fit is 0
+    failed &= (np.array((variances.m1, variances.m2, variances.m3)) != 0.0)[:, None]
     if failed.any():   # name the first failing (point, axis) in point-major order
-        axis = active[int(np.flatnonzero(failed.T)[0]) % len(active)] + 1
+        axis = int(np.flatnonzero(failed.T)[0]) % 3 + 1
         raise ExtrapolationError(f"finite-dipole extrapolation failed to converge on axis {axis}")
-    spread = np.abs(fit_map[0]) * (1.0 + np.array(fractions) * (point_norms(points) / ell)[:, None])
-    err_axis = err_fit + _ROUNDING * np.add.reduce(np.maximum(spread * size, _TINY), axis=-1)
-    total = np.add.reduce(a0, axis=0, initial=0.0)   # axis by axis, as the per-point sums
-    err_total = np.add.reduce(err_axis, axis=0, initial=0.0)
+    spread = np.abs(fit_map[0]) * (1.0 + f * (point_norms(points) / ell)[:, None])
+    err_axis = err_fit + _ROUNDING * np.add.reduce(spread * size, axis=-1)
+    total = variances.contract(a0) / ell / ell
+    err_total = np.maximum(variances.contract(err_axis) / ell / ell, _ROUNDING * _TINY)
     if isinstance(r0, Position):
         return EnergyResult(float(total[0]), float(err_total[0]), Method.ORACLE, units.mode)
     return EnergyResult(total, err_total, Method.ORACLE, units.mode)

@@ -587,7 +587,9 @@ def test_config_file_rejects_non_finite_input(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["energy", "scan"])
 def test_oracle_charge_overflow_exits_2_naming_it(command, capsys, tmp_path):
-    # at z0 = 1e-300 the steps h are about 1e-303, so q^2 = <d_m^2>/h^2 overflows
+    # at z0 = 1e-300 the steps h are about 1e-303; the unit-variance charges
+    # do not overflow, and the oracle stops, as the numeric route does, where
+    # a charge and an image location coincide in floating point
     flags = ["--geometry", "plane", "--isotropic", "1", "--method", "oracle"]
     if command == "energy":
         argv, prefix = ["energy", *flags, "--z0", "1e-300"], ""
@@ -597,7 +599,8 @@ def test_oracle_charge_overflow_exits_2_naming_it(command, capsys, tmp_path):
         prefix = "at z0=1e-300: "
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == f"vdwsurf: {prefix}finite-dipole charge squared q^2 = <d_m^2>/h^2 overflows\n"
+    assert err.startswith(f"vdwsurf: {prefix}field point (")
+    assert err.endswith(") coincides with an image location\n")
 
 
 def test_energy_overflow_prints_no_invalid_json(capsys):
@@ -638,14 +641,16 @@ def test_energy_names_a_non_finite_energy_as_scan_does(geometry, capsys, tmp_pat
 def test_closed_energy_is_finite_where_the_variance_sum_overflows(geometry, variances, capsys):
     # the sums m1 + m2 + 2 m3, m1 + m2 + m3 and m . xi overflow; the energies do not
     energies = []
-    for method in ("closed", "numeric"):
+    for method in ("closed", "numeric", "oracle"):
         code, out, err = run_cli(capsys, "energy", "--geometry", *geometry, "--z0", "3",
                                  "--rho0", "0.7", "--variances", variances, "--method", method)
         assert (code, err) == (0, "")
         energies.append(json.loads(out))
-    closed, numeric = energies
+    closed, numeric, oracle = energies
     assert math.isfinite(closed["energy"])
     assert abs(closed["energy"] - numeric["energy"]) <= numeric["err_estimate"]
+    # each route's err bounds its own error, so they agree within the sum
+    assert abs(oracle["energy"] - numeric["energy"]) <= oracle["err_estimate"] + numeric["err_estimate"]
 
 
 def test_numeric_energy_is_finite_where_the_variance_sum_overflows(capsys):

@@ -269,6 +269,13 @@ def test_energy_numeric_skips_zero_weight_axes():
     only_z = DipoleVariances(0.0, 0.0, 1.0)
     got = energy_numeric(g, only_z, Position(0, 0, 1.0))
     assert got.value == pytest.approx(-0.125, rel=1e-9)
+    # at z0 = 1e-103 the energy of (1, 1, 0) is -1.25e308, finite, and the
+    # z kernel, twice the others, must not overflow before it
+    flat = DipoleVariances(1.0, 1.0, 0.0)
+    with np.errstate(over="raise"):
+        got = energy_numeric(g, flat, Position(0, 0, 1e-103))
+    exact = -2 / (16 * Fraction(1e-103) ** 3)
+    assert abs(Fraction(got.value) - exact) <= Fraction(got.err_estimate)
 
 
 def test_energy_numeric_si_units_scale():

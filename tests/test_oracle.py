@@ -238,17 +238,29 @@ def _reference_samples(g, variances, points, fractions, units):
     ids=["plane", "bosshat"],
 )
 def test_oracle_value_is_the_fit_map_on_the_reference_samples_bit_for_bit(g, variances):
-    # the reference squares q with Python's **; numpy's power and q * q
-    # differ from it for about one q in 1,200, and here there are 12,000
+    # unit-variance pairs on the three axes, each sample times ell^2 through
+    # q^2 = 1/f_j^2; K multiply-adds per axis, each sum from 0, then the
+    # contraction m1 a0_1 + m2 a0_2 + m3 a0_3, then 1/ell twice
     rng = np.random.default_rng(1204)
     n = 1000
     points = np.column_stack(
         [rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n), rng.uniform(1.1, 3.0, n)]
     )
-    samples, _, _ = _reference_samples(g, variances, points, DEFAULT_H_FRACTIONS, UnitSystem.reduced())
+    ell = surface_distance(g, points)
+    e = np.array([local_axes(variances.frame, Position(*p)) for p in points.tolist()])[:, :, None, :]
+    h = (ell[:, None] * np.array(DEFAULT_H_FRACTIONS))[:, None, :, None]
+    base = points[:, None, None, :] - 0.5 * h * e
+    tip = base + h * e
+    q_squared = np.array([1.0 / (f * f) for f in DEFAULT_H_FRACTIONS])
+    samples, _ = _pair_energies(
+        build_green(g), np.stack([base, tip]), q_squared, UnitSystem.reduced()
+    )
     c0 = _fit_map(tuple(DEFAULT_H_FRACTIONS))[0].tolist()
-    # K multiply-adds per axis, then the axes in order, each sum from 0
-    want = [sum(sum(c * s for c, s in zip(c0, axis)) for axis in point) for point in samples.tolist()]
+    m1, m2, m3 = variances.m1, variances.m2, variances.m3
+    want = []
+    for point, d in zip(samples.tolist(), ell.tolist()):
+        a1, a2, a3 = (sum(c * s for c, s in zip(c0, axis)) for axis in point)
+        want.append((m1 * a1 + m2 * a2 + m3 * a3) / d / d)
     assert extrapolated_energy(g, variances, points).value.tolist() == want
 
 
@@ -395,3 +407,7 @@ def test_extrapolation_error_names_the_first_failing_point_and_axis(monkeypatch)
     want = _outcome(_per_point_reference, g, v, grid, fractions)
     assert want == ("ExtrapolationError", "finite-dipole extrapolation failed to converge on axis 3")
     assert _outcome(extrapolated_energy, g, v, grid) == want
+    # an axis of zero variance is sampled but its fit is not checked:
+    # at z0 = 30 the first failure of an atom not polarizable along x is on axis 2
+    with pytest.raises(ExtrapolationError, match="on axis 2$"):
+        extrapolated_energy(g, DipoleVariances(0.0, 1.0, 1.0), Position(0, 0, 30.0))
