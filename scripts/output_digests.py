@@ -20,8 +20,12 @@ at 600 points for the oracle, past 256 twice.  Then the JSON that
 point off the axis, and a point 1e-6 R from the surface (for the boss
 hat on top of its dome, away from the rim where the closed form
 divides by zero).  Each geometry's bulk point is also printed once by
-the closed route in SI units, its lengths read in nanometres.  These
-lines come after the earlier ones so that those keep their order.  Two
+the closed route in SI units, its lengths read in nanometres.  Last come
+three closed energies far out, where a power of the lengths overflows
+but the energy need not: the plane at z0 = 1e120, the grounded sphere of
+R = 2.6e90 at z0 = 2R, and the boss hat of R = 1.3e30 at rho0 = R,
+z0 = 5R with variances (0.5, 1, 2).  Each group of lines comes after the
+earlier ones so that those keep their order.  Two
 checkouts print the same lines exactly where their outputs agree byte
 for byte, so `diff` of two runs names every output a change moved.
 Exits 1, naming the output, if a command does not exit 0.
@@ -69,6 +73,14 @@ EXPANSION_SWEEP = ["--var", "z0", "--from", NEAR, "--to", "1.4", "--log"]   # 0 
 EXPANSION_SCANS = [("near-z0", EXPANSION_SWEEP),
                    ("near-z0-a3", [*EXPANSION_SWEEP, "--normalize", "a3"])]
 LONG_POINTS = {"closed": 5000, "numeric": 5000, "oracle": 600, "expansion3": 5000}
+# (name, flags) of each closed energy far out
+FAR_ENERGIES = [
+    ("plane-z0-1e120", ["--geometry", "plane", "--isotropic", "1", "--z0", "1e120"]),
+    ("gsphere-R-2.6e90", ["--geometry", "gsphere", "--radius", "2.6e90", "--isotropic", "1",
+                          "--z0", "5.2e90"]),
+    ("bosshat-R-1.3e30", ["--geometry", "bosshat", "--radius", "1.3e30", "--variances",
+                          "0.5,1,2", "--rho0", "1.3e30", "--z0", "6.5e30"]),
+]
 # (rho0, z0) of each energy point, R = 1
 ENERGY_POINTS = {
     "plane": {"bulk": ("0.7", "1.3"), "near": ("0.7", "1e-6")},
@@ -117,6 +129,8 @@ def outputs(workdir: str):
         yield (f"energy-{geometry}-closed-bulk-si",
                ["energy", "--geometry", geometry, *radius, "--units", "si",
                 "--isotropic", "1e-59", "--rho0", f"{rho0}e-9", "--z0", f"{z0}e-9"], None)
+    for name, flags in FAR_ENERGIES:
+        yield f"energy-closed-far-{name}", ["energy", *flags], None
 
 
 def main() -> int:

@@ -220,7 +220,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
     units, g, variances = _setup(args)
     try:
         result = _route(args.method)(g, variances, Position(args.rho0, 0.0, z0), units=units)
-    except FloatingPointError as exc:   # OverflowError names its point
+    except FloatingPointError as exc:   # numpy's error does not name the point
         exc.args = (f"at rho0={args.rho0!r}, z0={z0!r}: {exc}",)   # as scan names it
         raise
     if not (math.isfinite(result.value) and math.isfinite(result.err_estimate)):

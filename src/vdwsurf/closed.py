@@ -8,7 +8,10 @@ boss hat's -(xi_rho, xi_phi, xi_z)/(16*4*pi*eps0)/z0^3 on (rho, phi, z).
 Every form computes on arrays; the u_* forms, the scalar API, give a
 float for floats.  energy_closed is the closed-form route: like
 energy_numeric and extrapolated_energy it takes DipoleVariances and a
-Position, a batch of one, or an (N, 3) array of points.
+Position, a batch of one, or an (N, 3) array of points.  The sphere and
+boss-hat forms compute at the point scaled by a power of two, so no power
+overflows before the energy: one that overflows is -inf, and one below the
+normal range may be -0.0.
 
 The hemisphere-on-plane ("boss hat") angular factors,
 xi_factors_corrected/u_bosshat_corrected, are derived from the image
@@ -62,27 +65,16 @@ def _in_frame(v: DipoleVariances, kernel, points: np.ndarray) -> tuple:
     return c2 * kernel[0] + s2 * kernel[1], s2 * kernel[0] + c2 * kernel[1], kernel[2]
 
 
-def _check_range(over, points: np.ndarray | None = None) -> None:
-    """Raise OverflowError where over marks a power of a finite distance
-    that is inf, naming the first such point if the points are given."""
-    if over.any():
-        at = "" if points is None else " at (x, y, z) = (%r, %r, %r)" % tuple(
-            points[over.argmax()].tolist())
-        raise OverflowError(f"closed-form energy out of float range{at}: "
-                            "a power of the distance overflows")
-
-
 def _scalar(value, *inputs: np.ndarray):
     """value as a float where every input array is 0-d."""
     return value if any(x.ndim for x in inputs) else float(value)
 
 
-def _plane_kernel(z, units: UnitSystem, points: np.ndarray | None = None) -> tuple:
-    """The plane's kernel at heights z, of the points if given."""
+def _plane_kernel(z, units: UnitSystem) -> tuple:
+    """The plane's kernel at heights z."""
     if (z <= 0.0).any():
         raise ContactError("atom must sit above the plane (z0 > 0)")
     cube = z * z * z
-    _check_range(np.isinf(cube) & np.isfinite(z), points)
     k = -1.0 / (16.0 * units.four_pi_epsilon0) / cube
     return k, k, 2.0 * k
 
@@ -112,19 +104,23 @@ def _check_sphere(z0, radius: float) -> None:
         raise ContactError("atom must sit outside the sphere (distance from its center > R)")
 
 
-def _sphere_kernel(rho2, z, radius: float, isolated: bool, units: UnitSystem, points=None) -> tuple:
-    """A sphere's kernel at (rho, z) about its centre, rho2 = rho^2, of the
-    points if given: 4 R^3/delta^3 + R/delta^2, less R/|r0|^4 if isolated,
-    in delta = |r0|^2 - R^2 = rho^2 + (z - R)(z + R), exact on the axis."""
+def _sphere_kernel(x, y, z, radius: float, isolated: bool, units: UnitSystem) -> tuple:
+    """A sphere's kernel at (x, y, z) about its centre: 4 R^3/delta^3 + R/delta^2,
+    less R/|r0|^4 if isolated, in delta = rho^2 + (z - R)(z + R), exact on the axis.
+    Computed at (x, y, z, R)/2^e, e the exponent of the largest coordinate, times 2^(-3e):
+    exact, as the kernel has degree -3 and a power of two scales a float exactly."""
+    e = np.frexp(np.maximum(np.maximum(abs(x), abs(y)), abs(z)))[1]
+    x, y, z, radius = (np.ldexp(c, -e) for c in (x, y, z, radius))
+    rho2 = x * x + y * y
     delta = rho2 + (z - radius) * (z + radius)
     d2 = delta * delta
     d3 = d2 * delta
-    _check_range(np.isinf(d3) & np.isfinite(z), points)
-    bracket = 4.0 * radius**3 / d3 + radius / d2
+    # float_power is the C pow of Python's **; np.power's cube can differ in the last bit
+    bracket = 4.0 * np.float_power(radius, 3) / d3 + radius / d2
     if isolated:
         r2 = rho2 + z * z
         bracket = bracket - radius / (r2 * r2)
-    k = -bracket / (6.0 * units.four_pi_epsilon0)
+    k = np.ldexp(-bracket / (6.0 * units.four_pi_epsilon0), -3 * e)
     return k, k, k
 
 
@@ -132,7 +128,7 @@ def _sphere_energy(variance_total: float, z0, radius: float, isolated: bool, uni
     z = np.asarray(z0, dtype=float)
     _check_sphere(z, radius)
     with np.errstate(over="ignore"):
-        value = variance_total * _sphere_kernel(0.0, z, radius, isolated, units)[0]   # isotropic
+        value = variance_total * _sphere_kernel(0, 0, z, radius, isolated, units)[0]   # isotropic
     return EnergyResult(_scalar(value, z), 0.0, Method.CLOSED_FORM, units.mode)
 
 
@@ -204,23 +200,25 @@ def _check_bosshat_region(radius: float, rho0: float, z0: float) -> None:
         )
 
 
-def _xi(radius: float, rho, z, points: np.ndarray | None = None) -> tuple[BossHatXi, np.ndarray]:
-    """The corrected angular factors at arrays rho and z, of the points
-    if given, and z^3; d = rho^2 + (z - R)(z + R) is exact on the axis."""
+def _xi(radius: float, rho, z) -> tuple[BossHatXi, np.ndarray]:
+    """The corrected angular factors at arrays rho and z, and z^3; d = rho^2 + (z - R)(z + R)
+    is exact on the axis.  The factors have degree 0, so computing them at (rho, z, R)/2^e,
+    e the exponent of the largest coordinate, is exact: a power of two scales a float exactly."""
     _check_bosshat_region(radius, rho, z)
+    cube = z * z * z
+    e = np.frexp(np.maximum(abs(rho), z))[1]
+    rho, z, radius = (np.ldexp(c, -e) for c in (rho, z, radius))
     r2 = radius * radius
     p2 = rho * rho
     z2 = z * z
     d = p2 + (z - radius) * (z + radius)
     d3 = d * d * d
-    cube = z2 * z
-    _check_range((np.isinf(d3) | np.isinf(cube)) & np.isfinite(rho) & np.isfinite(z), points)
     s = p2 + z2 + r2
     a = s * s - 4.0 * r2 * p2
     root = np.sqrt(a)
     a32 = a * root
     a52 = a * a * root
-    w = 8.0 * radius * cube
+    w = 8.0 * radius * (z2 * z)
     rz = r2 + z2
     rz4 = rz * rz
     zp = z2 + p2
@@ -293,25 +291,23 @@ def energy_closed(
     dipole variances of the atom (isotropic ones for the spheres).
 
     r0 is a Position, a batch of one giving a float value, or an (N, 3)
-    array of positions, giving (N,) values; err_estimate is 0.  Where a
-    power of a distance overflows, the OverflowError names the first
-    such point; an energy that overflows is -inf.  Division and invalid
-    operations follow the caller's np.errstate.
+    array of positions, giving (N,) values; err_estimate is 0.  An
+    energy that overflows is -inf, and one below the normal range may be
+    -0.0.  Division and invalid operations follow the caller's np.errstate.
     """
     points = as_points(r0).reshape(-1, 3)
     x, y, z = points.T
     with np.errstate(over="ignore"):
         if g.kind is GeometryKind.PLANE:
-            value = variances.contract(_plane_kernel(z, units, points))
+            value = variances.contract(_plane_kernel(z, units))
         elif g.kind is GeometryKind.BOSS_HAT:
-            xi, cube = _xi(g.radius, np.hypot(x, y), z, points)
+            xi, cube = _xi(g.radius, np.hypot(x, y), z)
             value = variances.contract(_in_frame(variances, _xi_kernel(xi, cube, units), points))
         else:
             isotropic_total(variances)
-            rho2 = x * x + y * y
             _check_sphere(point_norms(points), g.radius)   # the numeric route's region
             isolated = g.kind is GeometryKind.ISOLATED_SPHERE
-            value = variances.contract(_sphere_kernel(rho2, z, g.radius, isolated, units, points))
+            value = variances.contract(_sphere_kernel(x, y, z, g.radius, isolated, units))
     if isinstance(r0, Position):
         return EnergyResult(float(value[0]), 0.0, Method.CLOSED_FORM, units.mode)
     return EnergyResult(value, np.zeros_like(value), Method.CLOSED_FORM, units.mode)
@@ -331,7 +327,6 @@ def _expansion3(
     s3 = s * s * s
     with np.errstate(over="ignore"):
         a3 = a * a * a
-    _check_range(np.isinf(a3) & np.isfinite(a))
     bracket = 1.0 - s + s * s + c3 * s3
     value = -variance_total * bracket / (12.0 * units.four_pi_epsilon0 * a3)
     # Remainder of the truncated series; the 5 s^4 envelope is measured

@@ -6,10 +6,10 @@ The CLI maps these onto exit codes:
     1  validation failed (a `validate` check reported FAIL)
     2  invalid arguments, including NaN or infinite numbers; every other
        VdwError (DegenerateSourceError, ExtrapolationError,
-       ExpansionWindowError); every ArithmeticError, such as a closed
-       form's OverflowError or numpy's FloatingPointError on a division
-       by zero or an overflow; and MemoryError, such as a scan grid too
-       large to allocate
+       ExpansionWindowError); every ArithmeticError, such as numpy's
+       FloatingPointError on a division by zero or an overflow, or the
+       OverflowError of a --normalize scale; and MemoryError, such as a
+       scan grid too large to allocate
     3  RegionError and its subclass ContactError
     4  unwritable output
 

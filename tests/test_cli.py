@@ -1042,7 +1042,7 @@ def test_energy_fuzz_exits_cleanly(request, tmp_path_factory):
         assert err.count("\n") == 1 and err.endswith("\n"), (argv, lines, err)
 
 
-# --- closed-form scans: out of float range, byte-equal reference CSV, fuzz
+# --- closed-form scans: far out, byte-equal reference CSV, fuzz
 
 
 @pytest.mark.parametrize(
@@ -1054,20 +1054,51 @@ def test_energy_fuzz_exits_cleanly(request, tmp_path_factory):
 def test_closed_energy_out_of_float_range_exits_2_naming_the_input(
     geometry, far, capsys, tmp_path
 ):
-    code, out, err = run_cli(capsys, "energy", "--geometry", *geometry, "--isotropic", "1",
-                             "--z0", far)
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1
-    assert f"out of float range at (x, y, z) = (0.0, 0.0, {far})" in err
+    # Far out, where a power of the lengths leaves the float range: the energy is
+    # the numeric one within its err, and each scan row is energy_closed at its point.
+    from vdwsurf.closed import energy_closed
+    from vdwsurf.geometry import DipoleVariances, GeometryConfig, Position, VarianceFrame
+
+    energies = {}
+    for method in ("closed", "numeric"):
+        code, out, err = run_cli(capsys, "energy", "--geometry", *geometry, "--isotropic", "1",
+                                 "--z0", far, "--method", method)
+        assert (code, err) == (0, "")
+        energies[method] = json.loads(out)
+    numeric = energies["numeric"]
+    assert abs(energies["closed"]["energy"] - numeric["energy"]) <= (
+        numeric["err_estimate"] + np.finfo(float).tiny)
     csv = tmp_path / "scan.csv"
     code, out, err = run_cli(capsys, "scan", "--geometry", *geometry, "--isotropic", "1",
                              "--from", "2", "--to", far, "--points", "600", "--out", str(csv))
-    first = np.linspace(2.0, float(far), 600).tolist()[1]   # z0 = 2 is in range, the rest not
-    assert code == 2
-    assert err.count("\n") == 1
-    assert err.startswith(f"vdwsurf: at z0={first!r}: ") and "out of float range" in err
-    assert not csv.exists()
+    assert code == 0, err
+    g = {"plane": GeometryConfig.plane(), "gsphere": GeometryConfig.grounded_sphere(1.0),
+         "bosshat": GeometryConfig.boss_hat(1.0)}[geometry[0]]
+    rows = [row.split(",") for row in csv.read_text().splitlines()[1:]]
+    assert len(rows) == 600
+    v = DipoleVariances.isotropic(1.0, VarianceFrame.CYLINDRICAL_LOCAL
+                                  if geometry[0] == "bosshat" else VarianceFrame.CARTESIAN)
+    want = [energy_closed(g, v, Position(0.0, 0.0, float(x))).value.hex() for x, *_ in rows]
+    assert [float(value).hex() for _, value, *_ in rows] == want
+
+
+@pytest.mark.parametrize(
+    "geometry,variances,rho0,z0",
+    [(["bosshat", "--radius", "1.3e30"], ["--variances", "0.5,1,2"], "1.3e30", "6.5e30"),
+     (["gsphere", "--radius", "2.6e90"], ["--isotropic", "1"], "0", "5.2e90")],
+    ids=["bosshat", "gsphere"],
+)
+def test_closed_energy_far_out_is_the_numeric_one(geometry, variances, rho0, z0, capsys):
+    # where a power of the lengths leaves the float range but the energy does not
+    energies = {}
+    for method in ("closed", "numeric"):
+        code, out, err = run_cli(capsys, "energy", "--geometry", *geometry, *variances,
+                                 "--rho0", rho0, "--z0", z0, "--method", method)
+        assert (code, err) == (0, "")
+        energies[method] = json.loads(out)
+    numeric = energies["numeric"]
+    assert 0.0 < numeric["err_estimate"] <= 1e-13 * abs(numeric["energy"])
+    assert abs(energies["closed"]["energy"] - numeric["energy"]) <= numeric["err_estimate"]
 
 
 def _point_by_point_closed_csv(geometry, radius, variances, var, fixed, grid, normalize):
