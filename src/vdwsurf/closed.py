@@ -9,9 +9,9 @@ Every form computes on arrays; the u_* forms, the scalar API, give a
 float for floats.  energy_closed is the closed-form route: like
 energy_numeric and extrapolated_energy it takes DipoleVariances and a
 Position, a batch of one, or an (N, 3) array of points.  The sphere and
-boss-hat forms compute at the point scaled by a power of two, so no power
-overflows before the energy: one that overflows is -inf, and one below the
-normal range may be -0.0.
+boss-hat forms compute, and test their region, at the point scaled by a
+power of two, so no power overflows before the energy: one that overflows
+is -inf, and one below the normal range may be -0.0.
 
 The hemisphere-on-plane ("boss hat") angular factors,
 xi_factors_corrected/u_bosshat_corrected, are derived from the image
@@ -43,7 +43,6 @@ from .geometry import (
     VarianceFrame,
     as_points,
     local_axes,
-    point_norms,
 )
 from .units import UnitSystem
 
@@ -97,10 +96,8 @@ def u_plane(
     return EnergyResult(_scalar(value, z), 0.0, Method.CLOSED_FORM, units.mode)
 
 
-def _check_sphere(z0, radius: float) -> None:
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    if (z0 <= radius).any():
+def _check_sphere(distance, radius) -> None:
+    if (distance <= radius).any():
         raise ContactError("atom must sit outside the sphere (distance from its center > R)")
 
 
@@ -108,17 +105,19 @@ def _sphere_kernel(x, y, z, radius: float, isolated: bool, units: UnitSystem) ->
     """A sphere's kernel at (x, y, z) about its centre: 4 R^3/delta^3 + R/delta^2,
     less R/|r0|^4 if isolated, in delta = rho^2 + (z - R)(z + R), exact on the axis.
     Computed at (x, y, z, R)/2^e, e the exponent of the largest coordinate, times 2^(-3e):
-    exact, as the kernel has degree -3 and a power of two scales a float exactly."""
+    exact, as the kernel has degree -3 and a power of two scales a float exactly.
+    ContactError unless |r0| > R, tested there too, so that no norm overflows."""
     e = np.frexp(np.maximum(np.maximum(abs(x), abs(y)), abs(z)))[1]
     x, y, z, radius = (np.ldexp(c, -e) for c in (x, y, z, radius))
     rho2 = x * x + y * y
+    r2 = rho2 + z * z
+    _check_sphere(np.sqrt(r2), radius)   # point_norms, the numeric route's region
     delta = rho2 + (z - radius) * (z + radius)
     d2 = delta * delta
     d3 = d2 * delta
     # float_power is the C pow of Python's **; np.power's cube can differ in the last bit
     bracket = 4.0 * np.float_power(radius, 3) / d3 + radius / d2
     if isolated:
-        r2 = rho2 + z * z
         bracket = bracket - radius / (r2 * r2)
     k = np.ldexp(-bracket / (6.0 * units.four_pi_epsilon0), -3 * e)
     return k, k, k
@@ -126,7 +125,9 @@ def _sphere_kernel(x, y, z, radius: float, isolated: bool, units: UnitSystem) ->
 
 def _sphere_energy(variance_total: float, z0, radius: float, isolated: bool, units: UnitSystem):
     z = np.asarray(z0, dtype=float)
-    _check_sphere(z, radius)
+    if radius <= 0.0:
+        raise ValueError("radius must be positive")
+    _check_sphere(z, radius)   # z0 is signed; the kernel tests |z0|
     with np.errstate(over="ignore"):
         value = variance_total * _sphere_kernel(0, 0, z, radius, isolated, units)[0]   # isotropic
     return EnergyResult(_scalar(value, z), 0.0, Method.CLOSED_FORM, units.mode)
@@ -191,23 +192,27 @@ class BossHatXi:
     xi_z: float | np.ndarray
 
 
-def _check_bosshat_region(radius: float, rho0: float, z0: float) -> None:
+def _check_bosshat_region(radius: float, rho0, z0) -> tuple:
+    """RegionError unless z0 > 0 and rho0^2 + z0^2 > R^2, the squares compared at
+    (rho0, z0, R)/2^e, e the exponent of the larger coordinate, where none overflows;
+    those scaled lengths are returned."""
     if radius < 0.0:
         raise ValueError("radius must be >= 0")
-    if not np.all((z0 > 0.0) & (rho0 * rho0 + z0 * z0 > radius * radius)):
+    e = np.frexp(np.maximum(abs(rho0), abs(z0)))[1]
+    rho, z, r = (np.ldexp(c, -e) for c in (rho0, z0, radius))
+    if not np.all((z0 > 0.0) & (rho * rho + z * z > r * r)):
         raise RegionError(
             "boss-hat atom position requires z0 > 0 and rho0^2 + z0^2 > R^2"
         )
+    return rho, z, r
 
 
 def _xi(radius: float, rho, z) -> tuple[BossHatXi, np.ndarray]:
     """The corrected angular factors at arrays rho and z, and z^3; d = rho^2 + (z - R)(z + R)
-    is exact on the axis.  The factors have degree 0, so computing them at (rho, z, R)/2^e,
-    e the exponent of the largest coordinate, is exact: a power of two scales a float exactly."""
-    _check_bosshat_region(radius, rho, z)
+    is exact on the axis.  The factors have degree 0, so computing them at the lengths
+    scaled by _check_bosshat_region is exact: a power of two scales a float exactly."""
     cube = z * z * z
-    e = np.frexp(np.maximum(abs(rho), z))[1]
-    rho, z, radius = (np.ldexp(c, -e) for c in (rho, z, radius))
+    rho, z, radius = _check_bosshat_region(radius, rho, z)
     r2 = radius * radius
     p2 = rho * rho
     z2 = z * z
@@ -305,7 +310,6 @@ def energy_closed(
             value = variances.contract(_in_frame(variances, _xi_kernel(xi, cube, units), points))
         else:
             isotropic_total(variances)
-            _check_sphere(point_norms(points), g.radius)   # the numeric route's region
             isolated = g.kind is GeometryKind.ISOLATED_SPHERE
             value = variances.contract(_sphere_kernel(x, y, z, g.radius, isolated, units))
     if isinstance(r0, Position):

@@ -1101,6 +1101,17 @@ def test_closed_energy_far_out_is_the_numeric_one(geometry, variances, rho0, z0,
     assert abs(energies["closed"]["energy"] - numeric["energy"]) <= numeric["err_estimate"]
 
 
+@pytest.mark.parametrize("geometry", ["gsphere", "isphere", "bosshat"])
+def test_closed_energy_inside_a_huge_conductor_exits_3(geometry, capsys, tmp_path):
+    # R = 1e200: |r0|^2 overflows, yet the atom at R/2 is inside the conductor
+    for argv in (["energy", "--z0", "5e199"],
+                 ["scan", "--from", "5e199", "--to", "3e200", "--points", "5",
+                  "--out", str(tmp_path / "scan.csv")]):
+        code, out, err = run_cli(capsys, *argv, "--geometry", geometry, "--radius", "1e200",
+                                 "--isotropic", "1")
+        assert (code, out) == (3, "") and "region violation" in err, (argv, err)
+
+
 def _point_by_point_closed_csv(geometry, radius, variances, var, fixed, grid, normalize):
     """The scan CSV as the point-by-point loop wrote it before the closed
     route was batched: the closed route at each sorted grid value, a

@@ -555,27 +555,49 @@ _FAR_GEOMETRIES = {
 @pytest.mark.parametrize("geometry", list(_FAR_GEOMETRIES))
 def test_energy_closed_agrees_with_numeric_at_every_scale(geometry):
     # At z0 = R(1 + s), rho0 = 0 or 0.7 R (the plane's lengths alike),
-    # up to R = 1e150: wherever the numeric route gives an energy, the
+    # up to R = 1e300: wherever the numeric route gives an energy, the
     # closed route gives one within its err and raises no floating-point error.
+    # From R = 1e200, where |r0|^2 overflows in the numeric route, the
+    # numeric energy and err are taken at the lengths times 2^-k, times 2^-3k.
     v = (DipoleVariances.isotropic(1.0) if geometry in ("gsphere", "isphere")
          else DipoleVariances(0.5, 1.0, 2.0, VarianceFrame.CYLINDRICAL_LOCAL
                               if geometry == "bosshat" else VarianceFrame.CARTESIAN))
     compared = 0
-    for radius in (1.0, 1e30, 1e90, 1e150):
+    for radius in (1.0, 1e30, 1e90, 1e150, 1e200, 1e300):
         g = _FAR_GEOMETRIES[geometry](radius)
+        k = math.frexp(radius)[1] if radius > 1e154 else 0
         for s in (1e-3, 1.0, 1e3):
             for rho0 in (0.0, 0.7 * radius):
                 r0 = Position(rho0, 0.0, radius * (1.0 + s))
                 with np.errstate(divide="raise", over="raise", invalid="raise"):
                     try:
-                        numeric = energy_numeric(g, v, r0)
+                        numeric = energy_numeric(
+                            _FAR_GEOMETRIES[geometry](math.ldexp(radius, -k)), v,
+                            Position(*(math.ldexp(c, -k) for c in (rho0, 0.0, r0.z))))
                     except ArithmeticError:
                         continue
                     closed = energy_closed(g, v, r0).value
-                assert abs(closed - numeric.value) <= numeric.err_estimate + np.finfo(float).tiny, (
-                    radius, s, rho0, closed, numeric)
+                want, err = (math.ldexp(x, -3 * k) for x in (numeric.value, numeric.err_estimate))
+                assert abs(closed - want) <= err + np.finfo(float).tiny, (radius, s, rho0, closed, want)
                 compared += 1
-    assert compared == 24
+    assert compared == 36
+
+
+@pytest.mark.parametrize("geometry", ["gsphere", "isphere", "bosshat"])
+def test_energy_closed_region_is_the_same_at_every_scale(geometry):
+    # On the axis at R/2 the atom is inside the conductor and at 2R outside,
+    # also where |r0|^2 overflows (R = 1e200, 1e300) or underflows (R = 1e-200).
+    v = DipoleVariances.isotropic(1.0, VarianceFrame.CYLINDRICAL_LOCAL
+                                  if geometry == "bosshat" else VarianceFrame.CARTESIAN)
+    for radius in (1e-200, 1.0, 1e150, 1e200, 1e300):
+        g = _FAR_GEOMETRIES[geometry](radius)
+        inside, outside = (0.0, 0.0, 0.5 * radius), (0.0, 0.0, 2.0 * radius)
+        for r0 in (Position(*inside), np.array([outside, inside])):
+            with pytest.raises(ContactError if geometry != "bosshat" else RegionError):
+                energy_closed(g, v, r0)
+        with np.errstate(divide="ignore"):   # the boss hat's z0^3 underflows at R = 1e-200
+            energy = energy_closed(g, v, Position(*outside)).value
+        assert math.copysign(1.0, energy) == -1.0, (radius, energy)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
