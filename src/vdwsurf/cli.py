@@ -27,6 +27,11 @@ config's flags are parsed before the command line's by the same parser,
 with the same checks and messages, so flags win, and the whole file is
 checked, a bad value that a flag overrides included.
 
+A command line is parsed once: the parser of the subcommand its first
+token names reads the tokens after that name (again after a config
+file's flags). The top-level parser reads only a command line that does
+not start with a subcommand's name, and prints help or an error.
+
 `scan` evaluates its grid in chunks, one vectorised route call and one
 string format per chunk. A chunk bounds the memory of a long scan: the
 oracle holds about 11 KB per point and takes 256 points a chunk, the
@@ -445,19 +450,33 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.lru_cache(maxsize=None)
 def _shared_parser() -> argparse.ArgumentParser:
     """One parser per process, built on the first call to main: parsing
-    leaves no state in it, and building it costs about 1 ms."""
+    leaves no state in it, and building it costs about 1 ms. It reads a
+    command line itself only if no subcommand's name starts it (_parse)."""
     return build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The options of a command line, read by the parser of the subcommand
+    argv[0] names as the top-level parser would hand them on, less the
+    unused `command`; the top-level parser reads any other line."""
+    parser = _shared_parser()
+    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if argv and argv[0] in commands:
+        return commands[argv[0]].parse_args(argv[1:])
+    return parser.parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command line; return its exit code. The subcommand's parser
+    reads the tokens, again after a --config file's flags (_parse)."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _shared_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         if getattr(args, "config", None) is not None:
             # the subcommand, the config's flags, then the command line's:
             # the last value of a flag wins
             flags = _config_flags(args.parser, args.config)
-            args = _shared_parser().parse_args(argv[:1] + flags + argv[1:])
+            args = _parse(argv[:1] + flags + argv[1:])
         # numpy raises FloatingPointError, an ArithmeticError, where Python
         # floats would raise ZeroDivisionError or carry inf and NaN on
         with np.errstate(divide="raise", over="raise", invalid="raise"):

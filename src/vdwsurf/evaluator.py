@@ -85,10 +85,12 @@ def energy_numeric(
     size = np.maximum((np.abs(first) + np.abs(second)) * np.maximum(inv3, _TINY), _TINY)
     bound = np.add.reduce(size * cond)
 
-    # the 1/(4 pi) of G_H, via 4*pi*eps0; bound >= |total|, so err is inf wherever value is
+    # the 1/(4 pi) of G_H, via 4*pi*eps0; the 8*eps, a power of two, before the contraction,
+    # so that err overflows only where value does; err is inf wherever value is
     scale = 1.0 / units.four_pi_epsilon0
     value = variances.contract(scale * total)
-    err = 8.0 * _EPS * np.maximum(variances.contract(scale * bound), _TINY)
+    err = np.maximum(variances.contract(8.0 * _EPS * (scale * bound)), 8.0 * _EPS * _TINY)
+    err[~np.isfinite(value)] = np.inf
     if isinstance(r0, Position):
         return EnergyResult(float(value[0]), float(err[0]), Method.NUMERIC_EZ, units.mode)
     return EnergyResult(value, err, Method.NUMERIC_EZ, units.mode)

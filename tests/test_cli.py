@@ -667,6 +667,22 @@ def test_numeric_energy_is_finite_where_the_variance_sum_overflows(capsys):
     assert abs(energies["closed"]["energy"] - numeric["energy"]) <= numeric["err_estimate"]
 
 
+def test_numeric_err_is_finite_where_the_energy_is(capsys):
+    # The contracted rounding bound is about 52 at unit variances: at 1e308
+    # it overflows unless the 8 eps applies before the contraction.
+    flags = ["--geometry", "isphere", "--radius", "65.88104669512516", "--z0",
+             "37.44868808559477", "--rho0", "54.9718805731868", "--variances",
+             "1e308,1e308,1e308"]
+    energies = {}
+    for method in ("numeric", "closed"):
+        code, out, err = run_cli(capsys, "energy", *flags, "--method", method)
+        assert (code, err) == (0, "")
+        energies[method] = json.loads(out)
+    numeric = energies["numeric"]
+    assert math.isfinite(numeric["err_estimate"])
+    assert abs(energies["closed"]["energy"] - numeric["energy"]) <= numeric["err_estimate"]
+
+
 @pytest.mark.parametrize(
     "z0,message",
     [
@@ -967,6 +983,78 @@ def test_a_bad_config_value_exits_2_naming_its_key(command, key, bad, tmp_path):
     assert not (tmp_path / "scan.csv").exists()
 
 
+# --- the parse path: the subcommand's parser reads the tokens after its name
+
+
+_INVALID_CHOICE = "vdwsurf: argument command: invalid choice: {!r} (choose from 'energy', 'scan', 'validate')"
+
+
+@pytest.mark.parametrize(
+    "argv,code,stream,first_line",
+    [
+        ([], 2, "err", "vdwsurf: the following arguments are required: command"),
+        (["bogus"], 2, "err", _INVALID_CHOICE.format("bogus")),
+        (["--help"], 0, "out", "usage: vdwsurf [-h] {energy,scan,validate} ..."),
+        (["scan", "--help"], 0, "out",
+         "usage: vdwsurf scan [-h] [--geometry {plane,gsphere,isphere,bosshat}]"),
+        (["scan", "--bogus", "1"], 2, "err", "vdwsurf: unrecognized arguments: --bogus 1"),
+        (["--units", "si", "energy", "--geometry", "plane", "--z0", "1", "--isotropic", "1"],
+         2, "err", _INVALID_CHOICE.format("si")),
+    ],
+    ids=["no-arguments", "bogus", "help", "scan-help", "scan-bogus", "option-first"],
+)
+def test_help_and_parse_errors_keep_their_exit_code_and_first_line(
+    argv, code, stream, first_line, monkeypatch
+):
+    monkeypatch.setenv("COLUMNS", "80")   # help wraps at the terminal's width
+    got, out, err = _run(argv)
+    printed, other = (out, err) if stream == "out" else (err, out)
+    assert (got, printed.splitlines()[0], other) == (code, first_line, "")
+
+
+def _table_command_lines(out):
+    """A valid command line for each value of each option in the table
+    above, with validate's."""
+    argvs = [["validate"], ["validate", "--suite", "bc", "--seed", "3"]]
+    for command in ("energy", "scan"):
+        options = dict(_config_options(command))
+        for key, action in options.items():
+            for text in _values(key, action):
+                values = {**_BASE[command], key: text}
+                argv = [command] + [f for k, v in values.items() for f in _flag_argv(options[k], v)]
+                if command == "scan" and key != "out":
+                    argv += ["--out", out]
+                argvs.append(argv)
+    return argvs
+
+
+def test_main_parses_what_the_whole_parser_parses_but_the_command(monkeypatch, tmp_path):
+    # The namespace a handler gets is the whole parser's, which names the
+    # command besides; with --config, it is the whole parser's of the
+    # command, the config's flags and the rest of the command line.
+    parser = cli._shared_parser()
+    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    seen = []
+    record = seen.append
+    for sub in commands.values():
+        monkeypatch.setitem(sub._defaults, "handler", record)
+    configs = {command: tmp_path / f"{command}.cfg" for command in _BASE}
+    for command, cfg in configs.items():
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in _BASE[command].items()))
+    cases = [(argv, parser.parse_args(argv)) for argv in _table_command_lines("scan.csv")]
+    for argv in _table_command_lines("scan.csv"):
+        if argv[0] in configs:
+            argv = argv[:1] + ["--config", str(configs[argv[0]])] + argv[1:]
+            flags = cli._config_flags(commands[argv[0]], str(configs[argv[0]]))
+            cases.append((argv, parser.parse_args(argv[:1] + flags + argv[1:])))
+    for argv, whole in cases:
+        assert main(argv) is None
+        want, got = vars(whole), vars(seen.pop())
+        assert want.pop("command") == argv[0]
+        got.pop("command", None)
+        assert got == want, argv
+
+
 _ORDINARY = st.floats(0.1, 10.0).map(repr)
 # huge, tiny, zero, negative, NaN and inf, the edge cases drawn often
 _EDGE = st.one_of(
@@ -1051,7 +1139,7 @@ def test_energy_fuzz_exits_cleanly(request, tmp_path_factory):
      (["bosshat", "--radius", "1"], "1e+120")],
     ids=["plane", "gsphere", "bosshat"],
 )
-def test_closed_energy_out_of_float_range_exits_2_naming_the_input(
+def test_closed_energy_far_out_matches_numeric_and_scan_rows(
     geometry, far, capsys, tmp_path
 ):
     # Far out, where a power of the lengths leaves the float range: the energy is

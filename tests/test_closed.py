@@ -493,7 +493,7 @@ def test_energy_closed_sphere_wants_isotropic_variances(g):
     ],
     ids=["plane", "gsphere", "isphere", "bosshat"],
 )
-def test_energy_closed_names_the_first_point_out_of_float_range(g, far):
+def test_energy_closed_far_points_are_finite_and_batch_equal(g, far):
     # Far out, where a power of the lengths leaves the float range: the scalar
     # form, the Position and the batch are finite and within the numeric err.
     v = DipoleVariances.isotropic(1.0, VarianceFrame.CYLINDRICAL_LOCAL
