@@ -87,7 +87,7 @@ def u_bosshat(
     (identical on the axis).
     """
     xi = xi_factors(radius, rho0, z0)
-    value = variances.contract(_xi_kernel(xi, z0**3, units))
+    value = variances.contract(_xi_kernel(xi, z0, units))
     return EnergyResult(value, 0.0, Method.CLOSED_FORM, units.mode)
 
 

@@ -36,7 +36,10 @@ not start with a subcommand's name, and prints help or an error.
 string format per chunk. A chunk bounds the memory of a long scan: the
 oracle holds about 11 KB per point and takes 256 points a chunk, the
 closed, numeric and expansion3 routes hold 1.1 KB or less per point and
-take 4096. A chunk whose call fails is evaluated again point by point to
+take 4096. A chunk's CSV rows have the bytes of "%.17g" % cell for every
+cell, by one of two paths: from 200 rows (_CSV_PASS_ROWS, the measured
+crossover) one exact numpy pass (vdwsurf._g17), below it one % over the
+rows. A chunk whose call fails is evaluated again point by point to
 name the first failing grid value; `energy`, like `scan`, names the
 point of a non-finite energy. Numpy floating-point errors (division by
 zero, overflow, invalid operations) raise inside every subcommand and
@@ -60,6 +63,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _g17
 from .closed import (  # u_plane, u_*_sphere, u_bosshat_corrected: unused, perfbench wraps them
     energy_closed,
     isotropic_total,
@@ -258,6 +262,14 @@ def cmd_energy(args: argparse.Namespace) -> int:
 # so a scan of ordinary size is one route call. A chunk stays under 5 MB.
 _SCAN_CHUNK = {"oracle": 256, "closed": 4096, "numeric": 4096, "expansion3": 4096}
 
+# Rows of a chunk from which _csv_rows formats with the numpy pass of
+# vdwsurf._g17, whose hundred or so array calls cost about the same at any
+# size: below it one % over the rows is faster. With the caches cooled
+# between calls, as a request's other work cools them, the pass took 1.4
+# times the time of % at 120 boss-hat rows, 1.0 at 200, 0.8 at 300 and
+# 0.55 at 800 (2-vCPU AMD EPYC VM, Python 3.11, numpy 2.4).
+_CSV_PASS_ROWS = 200
+
 
 def _normalization(
     kind: str, g: GeometryConfig, positions: np.ndarray, xs: list[float], var: str
@@ -311,11 +323,18 @@ def _chunk_energies(
     return np.array(values), np.array(errs), result.method.value
 
 
-def _csv_rows(xs: list[float], values: list[float], errs: list[float], method: str) -> str:
-    """The CSV rows of a chunk, formatted by one % over the row repeated:
-    the bytes of formatting each row by itself."""
+def _csv_rows(xs, values, errs, method: str) -> str:
+    """The CSV rows of a chunk from its arrays (or lists) of grid values,
+    values and errors: the bytes of formatting each row by itself with
+    "%.17g,%.17g,%.17g,<method>\n".  A chunk of _CSV_PASS_ROWS rows or more
+    is formatted by the numpy pass of vdwsurf._g17, a shorter one by one %
+    over the row repeated."""
+    if len(xs) >= _CSV_PASS_ROWS:
+        return _g17.rows((xs, values, errs), method + "\n")
     cells: list = [None] * (3 * len(xs))
-    cells[0::3], cells[1::3], cells[2::3] = xs, values, errs
+    cells[0::3] = np.asarray(xs, dtype=float).tolist()
+    cells[1::3] = np.asarray(values, dtype=float).tolist()
+    cells[2::3] = np.asarray(errs, dtype=float).tolist()
     return ("%.17g,%.17g,%.17g," + method + "\n") * len(xs) % tuple(cells)
 
 
@@ -365,7 +384,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
                 f"at {var}={chunk[i]!r}: non-finite energy {float(values[i])!r} "
                 f"(err {float(errs[i])!r})"
             )
-        text.append(_csv_rows(chunk, values.tolist(), errs.tolist(), method_name))
+        text.append(_csv_rows(positions[:, var_column], values, errs, method_name))
 
     try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:

@@ -8,10 +8,11 @@ boss hat's -(xi_rho, xi_phi, xi_z)/(16*4*pi*eps0)/z0^3 on (rho, phi, z).
 Every form computes on arrays; the u_* forms, the scalar API, give a
 float for floats.  energy_closed is the closed-form route: like
 energy_numeric and extrapolated_energy it takes DipoleVariances and a
-Position, a batch of one, or an (N, 3) array of points.  The sphere and
-boss-hat forms compute, and test their region, at the point scaled by a
-power of two, so no power overflows before the energy: one that overflows
-is -inf, and one below the normal range may be -0.0.
+Position, a batch of one, or an (N, 3) array of points.  Every form takes
+its powers of the lengths at the point scaled by a power of two (the
+spheres and the boss hat test their region there too), so no power
+overflows or underflows before the energy: one that overflows is -inf, and
+one below the normal range keeps its subnormal digits.
 
 The hemisphere-on-plane ("boss hat") angular factors,
 xi_factors_corrected/u_bosshat_corrected, are derived from the image
@@ -69,12 +70,20 @@ def _scalar(value, *inputs: np.ndarray):
     return value if any(x.ndim for x in inputs) else float(value)
 
 
+def _over_cube(numerator, z):
+    """numerator / z^3, z > 0, with the cube taken at z/2^e, e the exponent of z, and the
+    quotient times 2^(-3e): exact where the quotient is normal, as a power of two scales a
+    float exactly, and a quotient below the normal range keeps its subnormal digits."""
+    e = np.frexp(z)[1]
+    z = np.ldexp(z, -e)
+    return np.ldexp(numerator / (z * z * z), -3 * e)
+
+
 def _plane_kernel(z, units: UnitSystem) -> tuple:
     """The plane's kernel at heights z."""
     if (z <= 0.0).any():
         raise ContactError("atom must sit above the plane (z0 > 0)")
-    cube = z * z * z
-    k = -1.0 / (16.0 * units.four_pi_epsilon0) / cube
+    k = _over_cube(-1.0 / (16.0 * units.four_pi_epsilon0), z)
     return k, k, 2.0 * k
 
 
@@ -207,11 +216,10 @@ def _check_bosshat_region(radius: float, rho0, z0) -> tuple:
     return rho, z, r
 
 
-def _xi(radius: float, rho, z) -> tuple[BossHatXi, np.ndarray]:
-    """The corrected angular factors at arrays rho and z, and z^3; d = rho^2 + (z - R)(z + R)
+def _xi(radius: float, rho, z) -> BossHatXi:
+    """The corrected angular factors at arrays rho and z; d = rho^2 + (z - R)(z + R)
     is exact on the axis.  The factors have degree 0, so computing them at the lengths
     scaled by _check_bosshat_region is exact: a power of two scales a float exactly."""
-    cube = z * z * z
     rho, z, radius = _check_bosshat_region(radius, rho, z)
     r2 = radius * radius
     p2 = rho * rho
@@ -237,7 +245,7 @@ def _xi(radius: float, rho, z) -> tuple[BossHatXi, np.ndarray]:
         r2 * r2 + 4.0 * r2 * z2 + z2 * z2
     )
     xi_z = 2.0 + w * (rz / d3 + w_z / a52)
-    return BossHatXi(xi_rho, xi_phi, xi_z), cube
+    return BossHatXi(xi_rho, xi_phi, xi_z)
 
 
 def xi_factors_corrected(radius: float, rho0: float, z0: float) -> BossHatXi:
@@ -252,14 +260,14 @@ def xi_factors_corrected(radius: float, rho0: float, z0: float) -> BossHatXi:
     """
     rho, z = np.asarray(rho0, dtype=float), np.asarray(z0, dtype=float)
     with np.errstate(over="ignore"):
-        xi, _ = _xi(radius, rho, z)
+        xi = _xi(radius, rho, z)
     return BossHatXi(*(_scalar(f, rho, z) for f in (xi.xi_rho, xi.xi_phi, xi.xi_z)))
 
 
-def _xi_kernel(xi: BossHatXi, cube, units: UnitSystem) -> tuple:
-    """The boss-hat kernel per unit (rho, phi, z) variance, z0^3 = cube."""
+def _xi_kernel(xi: BossHatXi, z0, units: UnitSystem) -> tuple:
+    """The boss-hat kernel per unit (rho, phi, z) variance at heights z0 > 0."""
     c = 16.0 * units.four_pi_epsilon0
-    return -xi.xi_rho / c / cube, -xi.xi_phi / c / cube, -xi.xi_z / c / cube
+    return tuple(_over_cube(-f / c, z0) for f in (xi.xi_rho, xi.xi_phi, xi.xi_z))
 
 
 def u_bosshat_corrected(
@@ -273,8 +281,7 @@ def u_bosshat_corrected(
     the variances are read in the (rho, phi, z) frame."""
     rho, z = np.asarray(rho0, dtype=float), np.asarray(z0, dtype=float)
     with np.errstate(over="ignore"):
-        xi, cube = _xi(radius, rho, z)
-        value = variances.contract(_xi_kernel(xi, cube, units))
+        value = variances.contract(_xi_kernel(_xi(radius, rho, z), z, units))
     return EnergyResult(_scalar(value, rho, z), 0.0, Method.CLOSED_FORM, units.mode)
 
 
@@ -297,8 +304,9 @@ def energy_closed(
 
     r0 is a Position, a batch of one giving a float value, or an (N, 3)
     array of positions, giving (N,) values; err_estimate is 0.  An
-    energy that overflows is -inf, and one below the normal range may be
-    -0.0.  Division and invalid operations follow the caller's np.errstate.
+    energy that overflows is -inf, and one below the normal range keeps its
+    subnormal digits.  Division and invalid operations follow the caller's
+    np.errstate.
     """
     points = as_points(r0).reshape(-1, 3)
     x, y, z = points.T
@@ -306,8 +314,8 @@ def energy_closed(
         if g.kind is GeometryKind.PLANE:
             value = variances.contract(_plane_kernel(z, units))
         elif g.kind is GeometryKind.BOSS_HAT:
-            xi, cube = _xi(g.radius, np.hypot(x, y), z)
-            value = variances.contract(_in_frame(variances, _xi_kernel(xi, cube, units), points))
+            kernel = _xi_kernel(_xi(g.radius, np.hypot(x, y), z), z, units)
+            value = variances.contract(_in_frame(variances, kernel, points))
         else:
             isotropic_total(variances)
             isolated = g.kind is GeometryKind.ISOLATED_SPHERE

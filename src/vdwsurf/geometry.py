@@ -143,7 +143,13 @@ class DipoleVariances:
 
     def contract(self, kernel):
         """sum_a <d_a^2> K_a of a kernel per unit variance on the frame's
-        axes: the energy in every route, never a sum of the variances."""
+        axes: the energy in every route, never a sum of the variances.  An
+        axis of zero variance contributes exactly 0, the zero 0 * K_a
+        gives where K_a is finite, also where K_a overflowed to inf."""
+        if not (self.m1 and self.m2 and self.m3):
+            # 0 * inf would be NaN; 0 * clip(K_a) has the sign of 0 * K_a
+            kernel = [k if m else np.clip(k, -1.0, 1.0)
+                      for m, k in zip((self.m1, self.m2, self.m3), kernel)]
         return self.m1 * kernel[0] + self.m2 * kernel[1] + self.m3 * kernel[2]
 
     @classmethod

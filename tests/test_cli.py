@@ -428,9 +428,10 @@ def test_scan_expansion3_method(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv,needle",
     [
-        # numpy's FloatingPointError on a division by zero in the closed form
+        # the closed form's energy overflows to -inf (its cube, taken at the scaled
+        # height, does not underflow to a division by zero); the finite check names it
         (["energy", "--geometry", "plane", "--isotropic", "1e308", "--z0", "1e-300"],
-         "at rho0=0.0, z0=1e-300: divide by zero encountered in divide"),
+         "at rho0=0.0, z0=1e-300: non-finite energy -inf"),
         # numpy's FloatingPointError in the G_H routes names the point, as a scan does
         (["energy", "--geometry", "isphere", "--radius", "1", "--z0", "1e200", "--isotropic", "1",
           "--method", "numeric"], "at rho0=0.0, z0=1e+200: overflow"),
@@ -490,7 +491,7 @@ def test_scan_expansion3_method(tmp_path, capsys):
         # a config line without "="; CONFIG stands for the path of a file holding it
         (["scan", "--config", "CONFIG"], "vdwsurf: CONFIG:1: expected key=value, got 'z0 2'\n"),
     ],
-    ids=["closed-zero-division", "numeric-isphere-overflow", "oracle-isphere-overflow",
+    ids=["closed-overflow", "numeric-isphere-overflow", "oracle-isphere-overflow",
          "numeric-gsphere-overflow", "oracle-gsphere-overflow", "numeric-plane-overflow",
          "expansion-window", "degenerate-source", "scan-names-x",
          "unallocatable-grid", "anisotropic-gsphere-expansion3",
@@ -683,6 +684,37 @@ def test_numeric_err_is_finite_where_the_energy_is(capsys):
     assert abs(energies["closed"]["energy"] - numeric["energy"]) <= numeric["err_estimate"]
 
 
+@pytest.mark.parametrize("geometry", [["plane"], ["bosshat", "--radius", "1"]],
+                         ids=["plane", "bosshat"])
+def test_closed_energy_keeps_its_subnormal_digits(geometry, capsys):
+    # z0^3 = 1e309 overflows at true scale, and the energy, about -8.3e-311,
+    # came out as -0.0; the cube is now taken at z0 scaled by a power of two
+    flags = ["energy", "--geometry", *geometry, "--z0", "1e103", "--isotropic", "1"]
+    energies = {}
+    for method in ("closed", "numeric"):
+        code, out, err = run_cli(capsys, *flags, "--method", method)
+        assert (code, err) == (0, "")
+        energies[method] = json.loads(out)
+    numeric = energies["numeric"]
+    assert abs(numeric["energy"] - -8.3333333333334e-311) <= numeric["err_estimate"]
+    assert abs(energies["closed"]["energy"] - -8.3333333333334e-311) <= numeric["err_estimate"]
+
+
+def test_closed_energy_with_a_zero_variance_axis_is_finite(capsys):
+    # the plane's z kernel overflows to -inf at z0 = 8e-104 while the energy,
+    # weighted by the x variance only, does not: 0 * -inf was NaN ("invalid
+    # value encountered in multiply"); an axis of zero variance now adds 0
+    flags = ["energy", "--geometry", "plane", "--z0", "8e-104", "--variances", "1,0,0"]
+    energies = {}
+    for method in ("closed", "oracle"):
+        code, out, err = run_cli(capsys, *flags, "--method", method)
+        assert (code, err) == (0, "")
+        energies[method] = json.loads(out)
+    oracle = energies["oracle"]
+    assert math.isfinite(energies["closed"]["energy"])
+    assert abs(energies["closed"]["energy"] - oracle["energy"]) <= oracle["err_estimate"]
+
+
 @pytest.mark.parametrize(
     "z0,message",
     [
@@ -802,6 +834,58 @@ def test_csv_rows_of_a_chunk_equal_the_per_row_format():
             assert got == want
         assert cli._csv_rows(xs[:1], values[:1], errs[:1], method) == row % (xs[0], values[0], errs[0])
     assert cli._csv_rows([], [], [], "oracle") == ""
+
+
+def _per_row(xs, values, errs, method):
+    return "".join("%.17g,%.17g,%.17g," % row + method + "\n" for row in zip(xs, values, errs))
+
+
+# every finite double, the zeros and the subnormals included
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_finite, _finite, _finite), min_size=1, max_size=60),
+       st.integers(0, 50))
+def test_csv_rows_of_a_long_chunk_equal_the_per_row_format(rows, extra):
+    # the drawn rows, repeated to a chunk of at least the crossover
+    rows = (rows * cli._CSV_PASS_ROWS)[:cli._CSV_PASS_ROWS + extra]
+    xs, values, errs = (np.array(column) for column in zip(*rows))
+    assert cli._csv_rows(xs, values, errs, "closed_form") == _per_row(
+        xs.tolist(), values.tolist(), errs.tolist(), "closed_form")
+
+
+def test_csv_rows_of_named_doubles_equal_the_per_row_format():
+    named = [9.9999999999999995e-05, 1e16, 1e17, 1e-280, 1e281, 1e-4, 1e15, 0.1]
+    named += np.nextafter(named, np.inf).tolist() + np.nextafter(named, 0.0).tolist()
+    named += [5e-324, 1.7976931348623157e308, 2.2250738585072014e-308, 0.0, 1e15 + 0.25,
+              1e15 + 0.75, 99999999999999999.0, 9.999999999999999e22, 123.0, 0.5]
+    cells = named + [-x for x in named]
+    cells += [1.0] * (3 * cli._CSV_PASS_ROWS - len(cells))
+    xs, values, errs = cells[0::3], cells[1::3], cells[2::3]
+    rows = cli._csv_rows(np.array(xs), np.array(values), np.array(errs), "oracle")
+    assert rows == _per_row(xs, values, errs, "oracle")
+    # exact ties: the fraction the 17th digit drops is 1/2, and % rounds half to even
+    for f, text in ((0.25, "1000000000000000.2"), (0.75, "1000000000000000.8")):
+        column = np.full(cli._CSV_PASS_ROWS, 1e15 + f)
+        rows = cli._csv_rows(column, column, column, "m")
+        assert rows == f"{text},{text},{text},m\n" * cli._CSV_PASS_ROWS
+
+
+@pytest.mark.parametrize("err", [0.0, -0.0, 1e-300], ids=["zero", "minus-zero", "tiny"])
+def test_csv_rows_at_the_crossover_equal_the_per_row_format(err, monkeypatch):
+    # one row below the crossover takes %, one row at it the numpy pass; a
+    # column of +0.0 only, the closed route's err, is written without formatting
+    passes = []
+    rows = cli._g17.rows
+    monkeypatch.setattr(cli._g17, "rows", lambda *a: passes.append(1) or rows(*a))
+    for n in (cli._CSV_PASS_ROWS - 1, cli._CSV_PASS_ROWS):
+        xs = np.linspace(1.3, 7.9, n)
+        values = -1.0 / (12.0 * xs**3)
+        errs = np.full(n, err)
+        got = cli._csv_rows(xs, values, errs, "closed_form")
+        assert got == _per_row(xs.tolist(), values.tolist(), errs.tolist(), "closed_form")
+    assert passes == [1]
 
 
 def test_back_to_back_calls_share_no_state(tmp_path, capsys):

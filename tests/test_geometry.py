@@ -176,3 +176,15 @@ def test_a_nan_coordinate_gives_a_nan_surface_distance(region_grid, axis):
         assert math.isnan(surface_distance(g, Position(*p))) == depends
         if depends:
             assert not physical_region(g, Position(*p))
+
+
+def test_contract_adds_exactly_zero_for_an_axis_of_zero_variance():
+    kernel = (np.array([-2.0, 3.0, -1e308]), np.array([-np.inf, np.inf, 5.0]),
+              np.array([-4.0, -0.0, np.inf]))
+    got = DipoleVariances(1.0, 0.0, 0.0).contract(kernel)
+    assert got.tolist() == [-2.0, 3.0, -1e308]
+    # where the kernel is finite, the bits of m * K_a, the sign of a zero included
+    finite = (np.array([-1e-320, 2.0]), np.array([-3.0, -0.0]), np.array([-5e-324, 7.0]))
+    for v in (DipoleVariances(0.0, 0.0, 0.0), DipoleVariances(0.0, 2.0, -0.0)):
+        want = v.m1 * finite[0] + v.m2 * finite[1] + v.m3 * finite[2]
+        assert v.contract(finite).view(np.uint64).tolist() == want.view(np.uint64).tolist()
