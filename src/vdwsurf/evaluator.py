@@ -79,17 +79,19 @@ def energy_numeric(
     second = w * (3.0 * u_e * (_dot(u, j_e) * inv) - _dot(e, j_e))
     # with the 1/2 of 1/(2 eps0), exact: no kernel overflows before its unit-variance energy
     inv3 = 0.5 * inv * inv * inv
-    total = -np.add.reduce((first + second) * inv3)                # (3, N)
     cond = np.where(kelvin[:, None, None], 1.0 + norm * inv, 1.0)
-    # below the normal range, rounding errors are absolute: up to eps/2 * _TINY
-    size = np.maximum((np.abs(first) + np.abs(second)) * np.maximum(inv3, _TINY), _TINY)
-    bound = np.add.reduce(size * cond)
-
     # the 1/(4 pi) of G_H, via 4*pi*eps0; the 8*eps, a power of two, before the contraction,
     # so that err overflows only where value does; err is inf wherever value is
     scale = 1.0 / units.four_pi_epsilon0
-    value = variances.contract(scale * total)
-    err = np.maximum(variances.contract(8.0 * _EPS * (scale * bound)), 8.0 * _EPS * _TINY)
+    # an axis may overflow to inf here, where its variance is 0 and contract drops it;
+    # the caller's finite check names an energy that overflowed
+    with np.errstate(over="ignore"):
+        kernel = scale * -np.add.reduce((first + second) * inv3)   # (3, N)
+        # below the normal range, rounding errors are absolute: up to eps/2 * _TINY
+        size = np.maximum((np.abs(first) + np.abs(second)) * np.maximum(inv3, _TINY), _TINY)
+        bound = 8.0 * _EPS * (scale * np.add.reduce(size * cond))
+    value = variances.contract(kernel)
+    err = np.maximum(variances.contract(bound), 8.0 * _EPS * _TINY)
     err[~np.isfinite(value)] = np.inf
     if isinstance(r0, Position):
         return EnergyResult(float(value[0]), float(err[0]), Method.NUMERIC_EZ, units.mode)

@@ -295,7 +295,9 @@ _EXTENT = 10.0   # radius at which surface_sample truncates the plane and the br
 
 def surface_sample(g: GeometryConfig, n: int, rng_seed: int) -> np.ndarray:
     """n deterministic pseudo-random points on the conductor surface, as
-    an (n, 3) array.
+    an (n, 3) array: a view of storage that holds its components first,
+    so that the kernels, which transpose their points, run along
+    contiguous rows.
 
     Plane: uniform over a disk of radius _EXTENT.  Spheres: uniform over
     the full sphere.  Boss hat: hemisphere plus the annulus z=0,
@@ -309,26 +311,27 @@ def surface_sample(g: GeometryConfig, n: int, rng_seed: int) -> np.ndarray:
 
     def disk(count: int, r_inner: float, r_outer: float) -> np.ndarray:
         u = rng.random(count)
-        ang = (rng.random(count) * (2.0 * math.pi)).tolist()
+        ang = rng.random(count) * (2.0 * math.pi)
         rad = np.sqrt(r_inner**2 + u * (r_outer**2 - r_inner**2))
-        # math.cos and math.sin, the C library's; np.cos may round differently
-        cos = np.fromiter(map(math.cos, ang), float, count)
-        sin = np.fromiter(map(math.sin, ang), float, count)
-        return np.column_stack([rad * cos, rad * sin, np.zeros(count)])
+        # numpy's float64 cos and sin call the C library's, so these are the bits
+        # of math.cos and math.sin: test_numpy_trig_is_the_c_librarys_bit_for_bit
+        return np.stack([rad * np.cos(ang), rad * np.sin(ang), np.zeros(count)])
 
     def sphere(count: int, hemisphere: bool) -> np.ndarray:
         v = rng.normal(size=(count, 3))
-        norms = np.linalg.norm(v, axis=1)
+        norms = point_norms(v)
         norms[norms == 0.0] = 1.0   # measure-zero guard
-        v = v / norms[:, None] * g.radius
+        v = np.ascontiguousarray(v.T)
+        v /= norms
+        v *= g.radius
         if hemisphere:
-            v[:, 2] = np.abs(v[:, 2])
+            v[2] = np.abs(v[2])
         return v
 
     if g.kind is GeometryKind.PLANE:
-        return disk(n, 0.0, _EXTENT)
+        return disk(n, 0.0, _EXTENT).T
     if g.kind in (GeometryKind.GROUNDED_SPHERE, GeometryKind.ISOLATED_SPHERE):
-        return sphere(n, hemisphere=False)
+        return sphere(n, hemisphere=False).T
 
     area_hemisphere = 2.0 * math.pi * g.radius**2
     outer = max(_EXTENT, g.radius)
@@ -336,5 +339,5 @@ def surface_sample(g: GeometryConfig, n: int, rng_seed: int) -> np.ndarray:
     n_hemisphere = int(round(n * area_hemisphere / (area_hemisphere + area_annulus)))
     n_hemisphere = min(max(n_hemisphere, 1), n)
     return np.concatenate(
-        [sphere(n_hemisphere, hemisphere=True), disk(n - n_hemisphere, g.radius, outer)]
-    )
+        [sphere(n_hemisphere, hemisphere=True), disk(n - n_hemisphere, g.radius, outer)], axis=1
+    ).T

@@ -28,6 +28,7 @@ from .geometry import (
     GeometryKind,
     Position,
     VarianceFrame,
+    point_norms,
 )
 from .images import bc_residual, build_green, g_h, surface_sample
 from .oracle import extrapolated_energy
@@ -76,40 +77,46 @@ def _check(name: str, residual: float, tolerance: float, details: str = "") -> C
 def _sources_plane(rng: np.random.Generator, n: int) -> np.ndarray:
     xy = rng.uniform(-2.0, 2.0, size=(n, 2))
     z = rng.uniform(0.1, 2.0, size=n)
-    return np.column_stack([xy, z])
+    return np.stack([xy[:, 0], xy[:, 1], z]).T
 
 
 def _sources_sphere(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
     v = rng.normal(size=(n, 3))
-    norms = np.linalg.norm(v, axis=1)
+    norms = point_norms(v)
     norms[norms == 0.0] = 1.0
-    v /= norms[:, None]
-    r = radius * rng.uniform(1.1, 3.0, size=n)
-    return v * r[:, None]
+    v = np.ascontiguousarray(v.T)
+    v /= norms
+    v *= radius * rng.uniform(1.1, 3.0, size=n)
+    return v.T
 
 
 def _sources_bosshat(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
     """n points of the box [-2, 2]^2 x [0.05, 2] beyond 1.05 R, by
     rejection from blocks of rng.random.  rng.uniform(low, high) is
     low + (high - low) * rng.random(), so the points and the end state of
-    rng are those of drawing x, y, z with rng.uniform point by point."""
+    rng are those of drawing x, y, z with rng.uniform point by point.  The
+    end state is reached without a redraw: rng goes back to its start and
+    advances one step per double the loop would have drawn, as PCG64, the
+    generator of np.random.default_rng, does.  advance also drops a 32-bit
+    half that rng may hold from an integer draw, which no draw of this
+    module leaves."""
     limit = radius * 1.05
     if not limit < math.sqrt(12.0):   # the norm of the box's far corner
         raise ValueError(f"no point of the source box lies beyond 1.05 R for R={radius!r}")
-    low = np.array([-2.0, -2.0, 0.05])
-    span = np.array([2.0 - -2.0, 2.0 - -2.0, 2.0 - 0.05])
+    low = np.array([[-2.0], [-2.0], [0.05]])
+    span = np.array([[2.0 - -2.0], [2.0 - -2.0], [2.0 - 0.05]])
     start = rng.bit_generator.state
     k = n + n // 4 + 16
     while True:
-        v = low + span * rng.random((k, 3))
-        x, y, z = v.T
+        v = low + span * np.ascontiguousarray(rng.random((k, 3)).T)
+        x, y, z = v
         accepted = np.flatnonzero(np.sqrt(x * x + y * y + z * z) > limit)   # Position.norm's order
         rng.bit_generator.state = start
         if len(accepted) >= n:
             break
         k *= 2
-    rng.random(3 * (int(accepted[n - 1]) + 1))   # the draws of the point-by-point loop
-    return v[accepted[:n]]
+    rng.bit_generator.advance(3 * (int(accepted[n - 1]) + 1))   # the draws of the loop
+    return np.take(v, accepted[:n], axis=1).T
 
 
 _GROUNDED = (
@@ -120,6 +127,9 @@ _GROUNDED = (
 
 
 def _sources_for(g: GeometryConfig, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n source points outside g, as (n, 3) views of rows that hold the
+    components first, as surface_sample gives them: the kernels transpose
+    their points and run along contiguous rows."""
     if g.kind is GeometryKind.PLANE:
         return _sources_plane(rng, n)
     if g.kind is GeometryKind.BOSS_HAT:

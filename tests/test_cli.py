@@ -716,6 +716,38 @@ def test_closed_energy_with_a_zero_variance_axis_is_finite(capsys):
 
 
 @pytest.mark.parametrize(
+    "z0,units", [("8e-104", "reduced"), ("1.4773776525984914e-100", "si")], ids=["reduced", "si"]
+)
+def test_numeric_energy_with_a_zero_variance_axis_is_finite(z0, units, capsys):
+    # the z kernel, twice the x one, overflows in the kernel (reduced) or in
+    # its scaling by 1/(4 pi eps0) (SI) while the x-weighted energy does not:
+    # that was "overflow encountered in multiply"; contract now drops the axis
+    flags = ["energy", "--geometry", "plane", "--z0", z0, "--variances", "1,0,0", "--units", units]
+    energies = {}
+    for method in ("numeric", "oracle"):
+        code, out, err = run_cli(capsys, *flags, "--method", method)
+        assert (code, err) == (0, "")
+        energies[method] = json.loads(out)
+    numeric, oracle = energies["numeric"], energies["oracle"]
+    assert math.isfinite(numeric["energy"]) and math.isfinite(numeric["err_estimate"])
+    assert abs(numeric["energy"] - oracle["energy"]) <= oracle["err_estimate"]
+
+
+@pytest.mark.parametrize(
+    "z0,variances",
+    [("8e-104", "0,0,1"), ("8e-104", "1,1,1"), ("7e-104", "1,0,0")],
+    ids=["z-axis-inf", "sum-overflows", "x-axis-overflows"],
+)
+def test_numeric_energy_exits_2_where_a_weighted_axis_overflows(z0, variances, capsys):
+    code, out, err = run_cli(
+        capsys, "energy", "--geometry", "plane", "--z0", z0, "--variances", variances,
+        "--method", "numeric",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"vdwsurf: at rho0=0.0, z0={float(z0)!r}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "z0,message",
     [
         # the first grid point is on the axis but outside the window: its

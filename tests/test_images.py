@@ -451,6 +451,24 @@ def test_bc_residual_names_a_surface_point_on_the_source_or_an_image(config, sur
             bc_residual(green, surfaces, sources)
 
 
+def test_numpy_trig_is_the_c_librarys_bit_for_bit():
+    # surface_sample's disk takes np.cos and np.sin of its angles for the bits of
+    # math.cos and math.sin: this holds while numpy calls the C library for
+    # float64 trig and does not vectorise those loops
+    angles = np.concatenate([
+        np.random.default_rng(0).random(10**5) * (2.0 * math.pi),
+        [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, np.nextafter(2.0 * math.pi, 0.0)],
+    ])
+    for name in ("cos", "sin"):
+        want = np.fromiter(map(getattr(math, name), angles.tolist()), float, len(angles))
+        got = getattr(np, name)(angles)
+        differ = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+        assert not len(differ), (
+            f"np.{name} rounds {len(differ)} of {len(angles)} angles otherwise than "
+            f"math.{name}, first at {angles[differ[0]]!r}: numpy vectorises float64 trig"
+        )
+
+
 def _surface_sample_reference(g, n, rng_seed):
     """surface_sample as it was, a list of Positions built point by
     point, kept as the reference of the array sampler."""

@@ -3,9 +3,12 @@ import pytest
 
 from test_images import _surface_sample_reference
 from vdwsurf import validate
-from vdwsurf.geometry import Position
+from vdwsurf.geometry import GeometryConfig, Position
+from vdwsurf.images import surface_sample
 from vdwsurf.validate import (
     _sources_bosshat,
+    _sources_for,
+    _sources_sphere,
     run_all,
     run_suite,
     suite_bc,
@@ -98,6 +101,41 @@ def test_bosshat_sources_equal_the_loop_bit_for_bit(n, radius):
         assert points.tobytes() == want.tobytes()
         # the symmetry suite draws its second set from the same generator
         assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def _sources_sphere_reference(rng, n, radius):
+    """_sources_sphere with np.linalg.norm and (n, 3) arithmetic, kept as
+    the reference of the product-sum norms and the components-first rows."""
+    v = rng.normal(size=(n, 3))
+    norms = np.linalg.norm(v, axis=1)
+    norms[norms == 0.0] = 1.0
+    v /= norms[:, None]
+    r = radius * rng.uniform(1.1, 3.0, size=n)
+    return v * r[:, None]
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 1.9])
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 200, 1000, 1001])
+def test_sphere_sources_equal_the_norm_reference_bit_for_bit(n, radius):
+    for seed in range(50):
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        points = _sources_sphere(rng, n, radius)
+        want = _sources_sphere_reference(reference_rng, n, radius)
+        assert points.shape == (n, 3)
+        assert points.tobytes() == want.tobytes()
+        # the symmetry suite draws its second set from the same generator
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "g", [GeometryConfig.plane(), GeometryConfig.grounded_sphere(1.0), GeometryConfig.boss_hat(1.0)],
+    ids=lambda g: g.kind.value,
+)
+def test_samplers_hold_their_components_first(g):
+    # (n, 3) views of (3, n) rows, so that the kernels, which transpose
+    # their points, run along contiguous rows
+    for points in (_sources_for(g, np.random.default_rng(3), 1000), surface_sample(g, 1000, 3)):
+        assert points.shape == (1000, 3) and points.T.flags.c_contiguous
 
 
 @pytest.mark.parametrize("radius", [12.0**0.5 / 1.05, 4.0, float("inf"), float("nan")])
