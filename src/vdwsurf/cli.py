@@ -6,13 +6,14 @@ Subcommands
     scan      sweep z0 or rho0, CSV to a file
     validate  run invariant suites, text report on stdout
 
-Exit codes: 0 success, 1 failed validation, 2 invalid arguments
-(including NaN or infinite numbers) or an energy that cannot be
-computed (any library error other than a region violation, a
-floating-point error, or a MemoryError such as a scan grid too large
-to allocate), 3 region violation (atom on or inside the
-conductor), 4 unwritable output. A failed scan names the grid value of
-its first failing point.
+Exit codes: 0 success, 1 failed validation, 2 invalid arguments or an
+energy that cannot be computed (any library error other than a region
+violation, a floating-point error, or a MemoryError such as a scan grid
+too large to allocate), 3 region violation (atom on or inside the
+conductor), 4 unwritable output. A float flag takes a finite number:
+NaN and inf are parse errors where they are read, as a non-number is
+("argument --z0: must be a finite number, got 'nan'", "argument --z0:
+invalid float value: 'x'"), and so is a variance component.
 
 Each default is set once, in build_parser: --method closed, --units
 reduced and --rho0 0.0; for scan also --var z0, --points 50, --normalize
@@ -40,11 +41,13 @@ take 4096. A chunk's CSV rows have the bytes of "%.17g" % cell for every
 cell, by one of two paths: from 200 rows (_CSV_PASS_ROWS, the measured
 crossover) one exact numpy pass (vdwsurf._g17), below it one % over the
 rows. A chunk whose call fails is evaluated again point by point to
-name the first failing grid value; `energy`, like `scan`, names the
-point of a non-finite energy. Numpy floating-point errors (division by
-zero, overflow, invalid operations) raise inside every subcommand and
-exit 2. The environment variable VDW_THREADS, which once set a thread
-count, is accepted and ignored.
+name the first failing grid value, and a non-finite energy names its
+point. `energy` is a chunk of one, evaluated and checked by the same
+functions, so it names "rho0=..., z0=..." wherever scan names a point.
+Numpy floating-point errors (division by zero, overflow, invalid
+operations) raise inside every subcommand and exit 2. The environment
+variable VDW_THREADS, which once set a thread count, is accepted and
+ignored.
 
 Variances are interpreted in cartesian axes (x, y, z) for the plane and
 the spheres, and in the local cylindrical frame (radial, azimuthal,
@@ -59,7 +62,7 @@ import functools
 import json
 import math
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -81,7 +84,6 @@ from .geometry import (
     EnergyResult,
     GeometryConfig,
     GeometryKind,
-    Position,
     VarianceFrame,
     surface_distance,
 )
@@ -133,23 +135,23 @@ def _config_flags(parser: argparse.ArgumentParser, path: str) -> list[str]:
     return flags
 
 
+def _finite(text: str) -> float:
+    """The value of a float flag: a number, neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _parse_variances(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
-        raise ValueError(f"--variances wants three comma-separated values, got {text!r}")
-    m1, m2, m3 = (float(p) for p in parts)
+        raise argparse.ArgumentTypeError(f"expected three comma-separated values, got {text!r}")
+    m1, m2, m3 = (_finite(p) for p in parts)
     return (m1, m2, m3)
-
-
-def _require_finite(args: argparse.Namespace) -> None:
-    """Reject NaN and infinite numbers, from flags or the config file."""
-    for action in args.parser._actions:
-        value = getattr(args, action.dest, None)
-        if action.type is float and value is not None and not math.isfinite(value):
-            flag = action.option_strings[-1]
-            raise ValueError(f"{flag} must be a finite number, got {value!r}")
-    if args.variances is not None and not all(math.isfinite(m) for m in args.variances):
-        raise ValueError(f"--variances must be finite numbers, got {args.variances!r}")
 
 
 def _required(args: argparse.Namespace, dest: str):
@@ -182,14 +184,11 @@ def _geometry_from_args(name: str, radius: float) -> GeometryConfig:
 
 
 def _expansion3_energy(
-    g: GeometryConfig,
-    variances: DipoleVariances,
-    r0: Position | np.ndarray,
-    units: UnitSystem,
+    g: GeometryConfig, variances: DipoleVariances, r0: np.ndarray, units: UnitSystem
 ) -> EnergyResult:
-    """The near-contact expansion of the geometry on the axis: a float for
-    a Position, (N,) arrays for an (N, 3) array of points."""
-    x, z = (r0.x, r0.z) if isinstance(r0, Position) else (r0[:, 0], r0[:, 2])
+    """The near-contact expansion of the geometry on the axis: (N,) arrays
+    for an (N, 3) array of points."""
+    x, z = r0[:, 0], r0[:, 2]
     if np.any(x != 0.0):
         raise ValueError("--method expansion3 is on-axis only (rho0 = 0)")
     total = isotropic_total(variances, f"expansion3 energies of geometry {g.kind.value!r}")
@@ -201,8 +200,8 @@ def _expansion3_energy(
 
 
 def _route(method: str):
-    """The energy route of a method, which takes a Position or an (N, 3)
-    array of points. Looked up at each call, so a wrapper bound to the
+    """The energy route of a method, which takes an (N, 3) array of
+    points. Looked up at each call, so a wrapper bound to the
     name on this module, such as a tracer's, sees the call."""
     routes = {"closed": energy_closed, "numeric": energy_numeric, "oracle": extrapolated_energy,
               "expansion3": _expansion3_energy}
@@ -223,25 +222,22 @@ def _setup(args: argparse.Namespace) -> tuple[UnitSystem, GeometryConfig, Dipole
 
 
 def cmd_energy(args: argparse.Namespace) -> int:
-    _require_finite(args)
     _required(args, "geometry")
     z0 = _required(args, "z0")
     units, g, variances = _setup(args)
-    try:
-        result = _route(args.method)(g, variances, Position(args.rho0, 0.0, z0), units=units)
-    except FloatingPointError as exc:   # numpy's error does not name the point
-        exc.args = (f"at rho0={args.rho0!r}, z0={z0!r}: {exc}",)   # as scan names it
-        raise
-    if not (math.isfinite(result.value) and math.isfinite(result.err_estimate)):
-        raise FloatingPointError(
-            f"at rho0={args.rho0!r}, z0={z0!r}: non-finite energy {result.value!r} "
-            f"(err {result.err_estimate!r})"
-        )
+
+    def name(i: int) -> str:
+        return f"rho0={args.rho0!r}, z0={z0!r}"
+
+    values, errs, method_name = _chunk_energies(
+        args.method, g, variances, np.array([[args.rho0, 0.0, z0]]), units, name
+    )
+    _require_finite_energies(values, errs, name)
     payload = {
-        "energy": result.value,
-        "err_estimate": result.err_estimate,
-        "method": result.method.value,
-        "units": result.units.value,
+        "energy": float(values[0]),
+        "err_estimate": float(errs[0]),
+        "method": method_name,
+        "units": units.mode.value,
         "inputs": {
             "geometry": args.geometry,
             "radius": g.radius,
@@ -272,10 +268,10 @@ _CSV_PASS_ROWS = 200
 
 
 def _normalization(
-    kind: str, g: GeometryConfig, positions: np.ndarray, xs: list[float], var: str
+    kind: str, g: GeometryConfig, positions: np.ndarray, name: Callable[[int], str]
 ) -> np.ndarray:
-    """Scale factor of each scan point; an overflowing one names the grid
-    value of its point."""
+    """Scale factor of each scan point; an overflowing one names its point
+    by name(i), i its index in positions."""
     if kind == "none":
         return np.ones(len(positions))
     if kind == "R3":
@@ -288,7 +284,7 @@ def _normalization(
         scales = np.float_power(lengths, 3)   # the C pow that Python's ** calls, per element
     over = np.isinf(scales) & np.isfinite(lengths)
     if over.any():
-        raise OverflowError(f"at {var}={xs[int(over.argmax())]!r}: --normalize {kind} overflows")
+        raise OverflowError(f"at {name(int(over.argmax()))}: --normalize {kind} overflows")
     return scales
 
 
@@ -296,31 +292,35 @@ def _chunk_energies(
     method: str,
     g: GeometryConfig,
     variances: DipoleVariances,
-    xs: list[float],
     positions: np.ndarray,
     units: UnitSystem,
-    var: str,
+    name: Callable[[int], str],
 ) -> tuple[np.ndarray, np.ndarray, str]:
-    """Values, errors and method name of a chunk of scan points from one
-    vectorised route call. A failure names the grid value of the first
-    failing point."""
+    """Values, errors and method name of an (N, 3) array of points from one
+    vectorised route call. A failure names the first failing point by
+    name(i), i its index in positions."""
     route = _route(method)
     try:
         batch = route(g, variances, positions, units=units)
     except (VdwError, ArithmeticError, ValueError):
-        pass   # the point-by-point loop below finds and names the failing point
-    else:
-        return batch.value, batch.err_estimate, batch.method.value
-    values, errs = [], []
-    for x, row in zip(xs, positions.tolist()):
-        try:
-            result = route(g, variances, Position(*row), units=units)
-        except (VdwError, ArithmeticError) as exc:
-            exc.args = (f"at {var}={x!r}: {exc}",)   # name the failing point
-            raise
-        values.append(result.value)
-        errs.append(result.err_estimate)
-    return np.array(values), np.array(errs), result.method.value
+        for i in range(len(positions)):   # find and name the first failing point
+            try:
+                route(g, variances, positions[i:i + 1], units=units)
+            except (VdwError, ArithmeticError) as exc:
+                exc.args = (f"at {name(i)}: {exc}",)
+                raise
+        raise   # no point fails alone: the chunk's own error
+    return batch.value, batch.err_estimate, batch.method.value
+
+
+def _require_finite_energies(values, errs, name: Callable[[int], str]) -> None:
+    """Name, by name(i), the first point whose value or error is not finite."""
+    bad = ~(np.isfinite(values) & np.isfinite(errs))
+    if bad.any():
+        i = int(bad.argmax())
+        raise FloatingPointError(
+            f"at {name(i)}: non-finite energy {float(values[i])!r} (err {float(errs[i])!r})"
+        )
 
 
 def _csv_rows(xs, values, errs, method: str) -> str:
@@ -339,7 +339,6 @@ def _csv_rows(xs, values, errs, method: str) -> str:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    _require_finite(args)
     _required(args, "geometry")
     lo = _required(args, "from_value")
     hi = _required(args, "to_value")
@@ -369,21 +368,19 @@ def cmd_scan(args: argparse.Namespace) -> int:
         positions = np.zeros((len(chunk), 3))
         positions[:, var_column] = chunk
         positions[:, fixed_column] = fixed
-        scales = _normalization(args.normalize, g, positions, chunk, var)
+
+        def name(i: int) -> str:
+            return f"{var}={chunk[i]!r}"
+
+        scales = _normalization(args.normalize, g, positions, name)
         values, errs, method_name = _chunk_energies(
-            args.method, g, variances, chunk, positions, units, var
+            args.method, g, variances, positions, units, name
         )
         # inf and NaN, as Python floats give them, rather than an
         # unnamed FloatingPointError: the check below names the point
         with np.errstate(over="ignore", invalid="ignore"):
             values, errs = values * scales, errs * scales
-        bad = ~(np.isfinite(values) & np.isfinite(errs))
-        if bad.any():
-            i = int(bad.argmax())
-            raise FloatingPointError(
-                f"at {var}={chunk[i]!r}: non-finite energy {float(values[i])!r} "
-                f"(err {float(errs[i])!r})"
-            )
+        _require_finite_energies(values, errs, name)
         text.append(_csv_rows(positions[:, var_column], values, errs, method_name))
 
     try:
@@ -408,9 +405,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _add_common_energy_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--geometry", choices=_GEOMETRY_CHOICES, default=None)
-    sub.add_argument("--radius", type=float, default=None, help="conductor radius R")
-    sub.add_argument("--z0", type=float, default=None, help="height above the plane / sphere center")
-    sub.add_argument("--rho0", type=float, default=0.0, help="axial distance (default %(default)s)")
+    sub.add_argument("--radius", type=_finite, default=None, help="conductor radius R")
+    sub.add_argument("--z0", type=_finite, default=None, help="height above the plane / sphere center")
+    sub.add_argument("--rho0", type=_finite, default=0.0, help="axial distance (default %(default)s)")
     sub.add_argument(
         "--variances",
         type=_parse_variances,
@@ -419,7 +416,7 @@ def _add_common_energy_flags(sub: argparse.ArgumentParser) -> None:
         help="dipole variances along the three local axes",
     )
     sub.add_argument(
-        "--isotropic", type=float, default=None, metavar="TOTAL", help="isotropic total variance"
+        "--isotropic", type=_finite, default=None, metavar="TOTAL", help="isotropic total variance"
     )
     sub.add_argument("--units", choices=("si", "reduced"), default="reduced")
     sub.add_argument("--config", default=None, help="key=value file mirroring the flags; flags win")
@@ -449,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_energy_flags(p_scan)
     p_scan.add_argument("--method", choices=_SCAN_METHOD_CHOICES, default="closed")
     p_scan.add_argument("--var", choices=("z0", "rho0"), default="z0")
-    p_scan.add_argument("--from", dest="from_value", type=float, default=None)
-    p_scan.add_argument("--to", dest="to_value", type=float, default=None)
+    p_scan.add_argument("--from", dest="from_value", type=_finite, default=None)
+    p_scan.add_argument("--to", dest="to_value", type=_finite, default=None)
     p_scan.add_argument("--points", type=int, default=50)
     p_scan.add_argument("--log", action="store_true")
     p_scan.add_argument("--normalize", choices=("none", "R3", "a3"), default="none")

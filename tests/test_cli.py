@@ -19,6 +19,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse rejects the command line
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 def test_energy_plane_isotropic_json(capsys):
     code, out, _ = run_cli(
         capsys, "energy", "--geometry", "plane", "--isotropic", "1", "--z0", "1"
@@ -557,33 +567,35 @@ def test_scan_with_one_point_outside_region_exits_3(method, capsys, tmp_path):
     ids=["z0-nan", "z0-inf", "rho0-inf", "radius-nan", "isotropic-nan", "variances-nan"],
 )
 @pytest.mark.parametrize("method", ["closed", "numeric", "oracle"])
-def test_energy_rejects_non_finite_input(flags, method, capsys):
-    code, out, err = run_cli(capsys, "energy", "--geometry", "plane", "--method", method, *flags)
+def test_energy_rejects_non_finite_input(flags, method):
+    # a parse error: argparse's SystemExit(2), which _run maps to the code
+    code, out, err = _run(["energy", "--geometry", "plane", "--method", method, *flags])
     assert code == 2
     assert out == ""
-    assert "finite" in err
+    assert "finite" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("bad", [["--from", "nan"], ["--to", "inf"], ["--z0", "nan"]])
-def test_scan_rejects_non_finite_input(bad, capsys, tmp_path):
+def test_scan_rejects_non_finite_input(bad, tmp_path):
     out = tmp_path / "scan.csv"
     argv = ["scan", "--geometry", "plane", "--isotropic", "1", "--var", "rho0",
             "--z0", "1", "--from", "0", "--to", "1", "--out", str(out)]
     i = argv.index(bad[0])
     argv[i + 1] = bad[1]
-    code, _, err = run_cli(capsys, *argv)
+    code, stdout, err = _run(argv)
     assert code == 2
-    assert "finite" in err
+    assert stdout == ""
+    assert "finite" in err and err.count("\n") == 1
     assert not out.exists()
 
 
-def test_config_file_rejects_non_finite_input(tmp_path, capsys):
+def test_config_file_rejects_non_finite_input(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("geometry = plane\nz0 = nan\nisotropic = 1\n")
-    code, out, err = run_cli(capsys, "energy", "--config", str(cfg))
-    assert code == 2
-    assert out == ""
-    assert "--z0 must be a finite number" in err
+    want = (2, "", "vdwsurf: argument --z0: must be a finite number, got 'nan'\n")
+    assert _run(["energy", "--config", str(cfg)]) == want
+    # a flag that overrides the line does not hide it
+    assert _run(["energy", "--config", str(cfg), "--z0", "1"]) == want
 
 
 @pytest.mark.parametrize("command", ["energy", "scan"])
@@ -593,7 +605,7 @@ def test_oracle_charge_overflow_exits_2_naming_it(command, capsys, tmp_path):
     # a charge and an image location coincide in floating point
     flags = ["--geometry", "plane", "--isotropic", "1", "--method", "oracle"]
     if command == "energy":
-        argv, prefix = ["energy", *flags, "--z0", "1e-300"], ""
+        argv, prefix = ["energy", *flags, "--z0", "1e-300"], "at rho0=0.0, z0=1e-300: "
     else:
         argv = ["scan", *flags, "--log", "--from", "1e-300", "--to", "1", "--points", "4",
                 "--out", str(tmp_path / "scan.csv")]
@@ -628,6 +640,28 @@ def test_energy_names_a_non_finite_energy_as_scan_does(geometry, capsys, tmp_pat
     code, _, err = run_cli(capsys, "scan", *flags, "--from", "0.3", "--to", "0.3",
                            "--points", "1", "--out", str(tmp_path / "scan.csv"))
     assert (code, err) == (2, "vdwsurf: at z0=0.3: non-finite energy -inf (err 0.0)\n")
+
+
+@pytest.mark.parametrize(
+    "flags,code,prefix",
+    [
+        (["--geometry", "gsphere", "--radius", "1", "--z0", "0.5", "--isotropic", "1"], 3,
+         "vdwsurf: region violation: at rho0=0.0, z0=0.5: "),
+        (["--geometry", "plane", "--z0", "1e-300", "--isotropic", "1", "--method", "numeric"], 2,
+         "vdwsurf: at rho0=0.0, z0=1e-300: field point ("),
+        (["--geometry", "isphere", "--radius", "1", "--z0", "1e200", "--rho0", "0.5",
+          "--isotropic", "1", "--method", "numeric"], 2,
+         "vdwsurf: at rho0=0.5, z0=1e+200: overflow"),
+        (["--geometry", "plane", "--isotropic", "1e308", "--z0", "1e-300"], 2,
+         "vdwsurf: at rho0=0.0, z0=1e-300: non-finite energy -inf"),
+    ],
+    ids=["region-violation", "degenerate-source", "numpy-overflow", "non-finite-energy"],
+)
+def test_energy_names_its_point_for_every_failure(flags, code, prefix, capsys):
+    # energy is a scan chunk of one point: each failure names it, as scan names a grid value
+    got, out, err = run_cli(capsys, "energy", *flags)
+    assert (got, out) == (code, "")
+    assert err.startswith(prefix) and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(
@@ -1002,16 +1036,6 @@ def _flag_argv(action, text):
     return [f"{flag}={text}"]
 
 
-def _run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:   # argparse rejects the command line
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
 def _equivalence_cases():
     return [
         pytest.param(command, key, id=f"{command}-{key}")
@@ -1073,6 +1097,10 @@ def _bad_value_cases():
             else:
                 continue   # a free string, such as a path, has no bad value
             cases.append(pytest.param(command, key, bad, id=f"{command}-{key}={bad}"))
+            # NaN is a number but not a value: the parser rejects it as it rejects x
+            nan = {cli._finite: "nan", cli._parse_variances: "1,nan,1"}.get(action.type)
+            if nan is not None:
+                cases.append(pytest.param(command, key, nan, id=f"{command}-{key}={nan}"))
     return cases
 
 
@@ -1090,6 +1118,7 @@ def test_a_bad_config_value_exits_2_naming_its_key(command, key, bad, tmp_path):
     assert out == ""
     assert err.startswith("vdwsurf: ") and err.count("\n") == 1
     assert key in err
+    assert "invalid _" not in err   # a message names no private function
     # the same bad value given as a flag fails the same way
     flags = [f"--{k}={v}" for k, v in values.items()]
     assert _run([command] + flags + out_flags) == by_config
@@ -1184,9 +1213,17 @@ _JUNK = st.text(st.characters(min_codepoint=33, max_codepoint=126), max_size=6)
 def _value_strategy(action, numbers):
     if action.choices is not None:
         return st.sampled_from([str(c) for c in action.choices])
-    if action.type is float:
+    if action.type is cli._finite:
         return numbers
-    return st.lists(numbers, min_size=3, max_size=3).map(",".join)   # the variances
+    assert action.type is cli._parse_variances, action
+    return st.lists(numbers, min_size=3, max_size=3).map(",".join)
+
+
+def test_the_float_options_are_the_numeric_keys():
+    # _value_strategy draws one number for each of these, three for --variances
+    floats = {key for command in ("energy", "scan")
+              for key, action in _config_options(command) if action.type is cli._finite}
+    assert floats == {"radius", "z0", "rho0", "isotropic", "from", "to"}
 
 
 _ENERGY_OPTIONS = _config_options("energy")
@@ -1552,7 +1589,7 @@ def _scan_requests(draw):
             option[3] = draw(_JUNK)
         elif option[1] == "points":
             option[3] = draw(_BAD_POINTS)
-        elif option[2].type is float or option[1] == "variances":
+        elif option[2].type in (cli._finite, cli._parse_variances):
             numbers = st.one_of(_ORDINARY, _EDGE) if option[1] == "variances" else _EDGE
             option[3] = draw(_value_strategy(option[2], numbers))
     return request
