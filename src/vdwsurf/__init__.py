@@ -17,70 +17,63 @@ Everything else is imported from its submodule: the image systems and
 G_H from vdwsurf.images, the geometry helpers from vdwsurf.geometry,
 the pair potentials from vdwsurf.pairs, and the transcribed boss-hat
 forms, kept for provenance, from vdwsurf._errata.
+
+Names load on first use (PEP 562, as Scientific Python's SPEC 1 lays
+out): `import vdwsurf` imports no submodule, and `vdwsurf.<name>`,
+`from vdwsurf import <name>` and a submodule looked up as an attribute,
+such as `vdwsurf.closed`, import what they name the first time.
 """
 
-from .closed import (
-    energy_closed,
-    u_bosshat_corrected,
-    u_bosshat_expansion3,
-    u_grounded_sphere,
-    u_grounded_sphere_alpha,
-    u_isolated_sphere,
-    u_plane,
-    u_sphere_expansion3,
-)
-from .errors import (
-    ContactError,
-    DegenerateSourceError,
-    ExpansionWindowError,
-    ExtrapolationError,
-    RegionError,
-    VdwError,
-)
-from .evaluator import energy_numeric
-from .geometry import (
-    DipoleVariances,
-    EnergyResult,
-    GeometryConfig,
-    GeometryKind,
-    Method,
-    Position,
-    VarianceFrame,
-)
-from .oracle import extrapolated_energy
-from .units import Mode, UnitSystem
-from .validate import CheckResult, SuiteReport, run_all, run_suite
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckResult",
-    "ContactError",
-    "DegenerateSourceError",
-    "DipoleVariances",
-    "EnergyResult",
-    "ExpansionWindowError",
-    "ExtrapolationError",
-    "GeometryConfig",
-    "GeometryKind",
-    "Method",
-    "Mode",
-    "Position",
-    "RegionError",
-    "SuiteReport",
-    "UnitSystem",
-    "VarianceFrame",
-    "VdwError",
-    "energy_closed",
-    "energy_numeric",
-    "extrapolated_energy",
-    "run_all",
-    "run_suite",
-    "u_bosshat_corrected",
-    "u_bosshat_expansion3",
-    "u_grounded_sphere",
-    "u_grounded_sphere_alpha",
-    "u_isolated_sphere",
-    "u_plane",
-    "u_sphere_expansion3",
-]
+# Each public name, by the submodule that defines it. A name is imported
+# from its submodule on first use (__getattr__), so `import vdwsurf`
+# loads no submodule: a command pays only for the routes it runs.
+_SUBMODULE_OF = {
+    **dict.fromkeys(
+        ("energy_closed", "u_bosshat_corrected", "u_bosshat_expansion3", "u_grounded_sphere",
+         "u_grounded_sphere_alpha", "u_isolated_sphere", "u_plane", "u_sphere_expansion3"),
+        "closed",
+    ),
+    **dict.fromkeys(
+        ("ContactError", "DegenerateSourceError", "ExpansionWindowError", "ExtrapolationError",
+         "RegionError", "VdwError"),
+        "errors",
+    ),
+    "energy_numeric": "evaluator",
+    **dict.fromkeys(
+        ("DipoleVariances", "EnergyResult", "GeometryConfig", "GeometryKind", "Method",
+         "Position", "VarianceFrame"),
+        "geometry",
+    ),
+    "extrapolated_energy": "oracle",
+    "Mode": "units",
+    "UnitSystem": "units",
+    **dict.fromkeys(("CheckResult", "SuiteReport", "run_all", "run_suite"), "validate"),
+}
+
+# every submodule, each an attribute of the package once imported
+_SUBMODULES = ("_errata", "_g17", "cli", "closed", "errors", "evaluator", "geometry", "images",
+               "oracle", "pairs", "units", "validate")
+
+__all__ = sorted(_SUBMODULE_OF)
+
+
+def __getattr__(name: str):
+    """A public name or a submodule, imported on its first use; a public
+    name is then kept in the namespace, where later lookups find it."""
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    try:
+        submodule = _SUBMODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{submodule}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

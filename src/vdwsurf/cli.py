@@ -13,7 +13,9 @@ too large to allocate), 3 region violation (atom on or inside the
 conductor), 4 unwritable output. A float flag takes a finite number:
 NaN and inf are parse errors where they are read, as a non-number is
 ("argument --z0: must be a finite number, got 'nan'", "argument --z0:
-invalid float value: 'x'"), and so is a variance component.
+invalid float value: 'x'"), and so is a variance component. A token
+that starts with "-" and that float() reads, such as -1e5 or -inf, is a
+value, not an option.
 
 Each default is set once, in build_parser: --method closed, --units
 reduced and --rho0 0.0; for scan also --var z0, --points 50, --normalize
@@ -49,6 +51,14 @@ operations) raise inside every subcommand and exit 2. The environment
 variable VDW_THREADS, which once set a thread count, is accepted and
 ignored.
 
+A command loads what it runs. Importing this module loads argparse,
+numpy and vdwsurf's errors, geometry and units, which every command
+uses; the closed forms, the numeric route, the oracle, the validation
+suites, the CSV pass and json load on the first command that needs them
+(_DEFERRED): `energy` loads vdwsurf.closed, `scan --method numeric`
+vdwsurf.evaluator and vdwsurf.images, and only `validate` loads every
+route.
+
 Variances are interpreted in cartesian axes (x, y, z) for the plane and
 the spheres, and in the local cylindrical frame (radial, azimuthal,
 vertical) for the boss hat. Closed-form sphere energies are available
@@ -59,26 +69,15 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import importlib
 import math
+import re
 import sys
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import _g17
-from .closed import (  # u_plane, u_*_sphere, u_bosshat_corrected: unused, perfbench wraps them
-    energy_closed,
-    isotropic_total,
-    u_bosshat_corrected,
-    u_bosshat_expansion3,
-    u_grounded_sphere,
-    u_isolated_sphere,
-    u_plane,
-    u_sphere_expansion3,
-)
 from .errors import RegionError, VdwError
-from .evaluator import energy_numeric
 from .geometry import (
     DipoleVariances,
     EnergyResult,
@@ -87,9 +86,46 @@ from .geometry import (
     VarianceFrame,
     surface_distance,
 )
-from .oracle import extrapolated_energy
 from .units import Mode, UnitSystem
-from .validate import run_all, run_suite
+
+# The names this module takes from modules that only some commands run,
+# by the module each comes from; a name is imported on its first lookup
+# (__getattr__). u_plane, u_*_sphere and u_bosshat_corrected go unused
+# here: perfbench wraps them on this module.
+_DEFERRED = {
+    "json": "json",
+    "_g17": "._g17",
+    **dict.fromkeys(
+        ("energy_closed", "isotropic_total", "u_bosshat_corrected", "u_bosshat_expansion3",
+         "u_grounded_sphere", "u_isolated_sphere", "u_plane", "u_sphere_expansion3"),
+        ".closed",
+    ),
+    "energy_numeric": ".evaluator",
+    "extrapolated_energy": ".oracle",
+    "run_all": ".validate",
+    "run_suite": ".validate",
+}
+
+
+def __getattr__(name: str):
+    """A deferred name (_DEFERRED), imported on its first lookup and then
+    kept as a global of this module; a name that is its module's own,
+    json or _g17, is the module."""
+    try:
+        source = _DEFERRED[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    module = importlib.import_module(source, __package__)
+    value = module if source.lstrip(".") == name else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+# This module. A function reads a deferred name as an attribute of it,
+# _cli.<name>, at each call: a bare global would not reach __getattr__,
+# and the attribute is whatever is bound there now, such as a tracer's
+# wrapper.
+_cli = sys.modules[__name__]
 
 _GEOMETRY_CHOICES = tuple(kind.value for kind in GeometryKind)
 _METHOD_CHOICES = ("closed", "numeric", "oracle")
@@ -191,21 +227,24 @@ def _expansion3_energy(
     x, z = r0[:, 0], r0[:, 2]
     if np.any(x != 0.0):
         raise ValueError("--method expansion3 is on-axis only (rho0 = 0)")
-    total = isotropic_total(variances, f"expansion3 energies of geometry {g.kind.value!r}")
+    total = _cli.isotropic_total(variances, f"expansion3 energies of geometry {g.kind.value!r}")
     if g.kind is GeometryKind.GROUNDED_SPHERE:
-        return u_sphere_expansion3(total, z, g.radius, units)
+        return _cli.u_sphere_expansion3(total, z, g.radius, units)
     if g.kind is GeometryKind.BOSS_HAT:
-        return u_bosshat_expansion3(total, z, g.radius, units)
+        return _cli.u_bosshat_expansion3(total, z, g.radius, units)
     raise ValueError("--method expansion3 needs geometry gsphere or bosshat")
+
+
+# the name on this module of each method's route
+_ROUTES = {"closed": "energy_closed", "numeric": "energy_numeric",
+           "oracle": "extrapolated_energy", "expansion3": "_expansion3_energy"}
 
 
 def _route(method: str):
     """The energy route of a method, which takes an (N, 3) array of
     points. Looked up at each call, so a wrapper bound to the
     name on this module, such as a tracer's, sees the call."""
-    routes = {"closed": energy_closed, "numeric": energy_numeric, "oracle": extrapolated_energy,
-              "expansion3": _expansion3_energy}
-    return routes[method]
+    return getattr(_cli, _ROUTES[method])
 
 
 def _setup(args: argparse.Namespace) -> tuple[UnitSystem, GeometryConfig, DipoleVariances]:
@@ -248,7 +287,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
             "method": args.method,
         },
     }
-    sys.stdout.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
+    sys.stdout.write(_cli.json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
     return 0
 
 
@@ -330,7 +369,7 @@ def _csv_rows(xs, values, errs, method: str) -> str:
     is formatted by the numpy pass of vdwsurf._g17, a shorter one by one %
     over the row repeated."""
     if len(xs) >= _CSV_PASS_ROWS:
-        return _g17.rows((xs, values, errs), method + "\n")
+        return _cli._g17.rows((xs, values, errs), method + "\n")
     cells: list = [None] * (3 * len(xs))
     cells[0::3] = np.asarray(xs, dtype=float).tolist()
     cells[1::3] = np.asarray(values, dtype=float).tolist()
@@ -396,7 +435,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     seed = args.seed
     if seed < 0:
         raise ValueError(f"--seed must be >= 0, not {seed}")
-    reports = run_all(seed=seed) if args.suite == "all" else [run_suite(args.suite, seed=seed)]
+    if args.suite == "all":
+        reports = _cli.run_all(seed=seed)
+    else:
+        reports = [_cli.run_suite(args.suite, seed=seed)]
     for report in reports:
         for line in report.lines():
             sys.stdout.write(line + "\n")
@@ -422,9 +464,25 @@ def _add_common_energy_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None, help="key=value file mirroring the flags; flags win")
 
 
+_DIGITS = r"\d(?:_?\d)*"
+# A token that starts with "-" and that float() reads as a number, which
+# argparse then takes as a value, not as an option: -1e5, -1E+5, -.5,
+# -1_000, -inf, -nan. argparse's own pattern takes only -1 and -1.5.
+_NEGATIVE_NUMBER = re.compile(
+    rf"-(?:(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:e[+-]?{_DIGITS})?|inf(?:inity)?|nan)\Z",
+    re.IGNORECASE,
+)
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line as one `vdwsurf: ...` line on stderr,
-    exit 2, like every other failure; its subcommands inherit it."""
+    exit 2, like every other failure, and reads a negative number in any
+    form float() accepts as a value (_NEGATIVE_NUMBER); its subcommands
+    inherit both."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message: str):
         self.exit(2, f"vdwsurf: {message}\n")

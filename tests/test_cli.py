@@ -598,6 +598,45 @@ def test_config_file_rejects_non_finite_input(tmp_path):
     assert _run(["energy", "--config", str(cfg), "--z0", "1"]) == want
 
 
+@pytest.mark.parametrize("text", ["-1e5", "-1E+5", "-1e-300", "-.5", "-1_000"])
+def test_negative_number_in_any_float_form_is_a_value(text):
+    code, out, err = _run(["energy", "--geometry", "plane", "--z0", "1", "--rho0", text,
+                           "--isotropic", "1"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["inputs"]["rho0"] == float(text)
+
+
+def test_negative_infinity_after_a_float_flag_is_a_non_finite_value():
+    want = (2, "", "vdwsurf: argument --z0: must be a finite number, got '-inf'\n")
+    assert _run(["energy", "--geometry", "plane", "--z0", "-inf", "--isotropic", "1"]) == want
+
+
+def test_help_is_still_an_option_after_the_negative_number_pattern():
+    code, out, err = _run(["energy", "-h"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: vdwsurf energy [-h]")
+
+
+# pieces of what float() reads, and of what it does not, glued at random
+_FLOAT_PIECES = ["0", "7", "12", "_", ".", "e", "E", "+", "-", "inf", "INF", "inity", "Infinity",
+                 "nan", "NaN", "n", "x"]
+
+
+@given(st.lists(st.sampled_from(_FLOAT_PIECES), max_size=6).map("".join))
+@settings(max_examples=1000, deadline=None)
+def test_negative_number_pattern_is_what_float_reads(tail):
+    text = "-" + tail
+
+    def is_float(text):
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return True
+
+    assert bool(cli._NEGATIVE_NUMBER.match(text)) == is_float(text)
+
+
 @pytest.mark.parametrize("command", ["energy", "scan"])
 def test_oracle_charge_overflow_exits_2_naming_it(command, capsys, tmp_path):
     # at z0 = 1e-300 the steps h are about 1e-303; the unit-variance charges
