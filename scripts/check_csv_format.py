@@ -7,7 +7,8 @@ product in float64 arithmetic, which holds only where numpy's float64
 multiplication and addition round correctly. This script formats N
 (default 2,000,000) doubles of random finite bit patterns, in rows of three,
 and then every power of ten from 1e-323 to 1e308 with its neighbours one
-ulp above and below, and compares every row with "%.17g" % cell. It prints
+ulp above and below, and compares the bytes of every row with those of
+("%.17g,%.17g,%.17g," % row).encode(), as the scan writes them. It prints
 the cells compared, how many the formatter left to % (out of its range,
 not finite, or too close to a rounding tie to decide), and each differing
 row up to ten. Exits 1 if any byte differs, else 0.
@@ -25,13 +26,14 @@ from vdwsurf import _g17
 _CHUNK = 60_000   # cells per call: keeps the check's memory to a few tens of MB
 
 
-def _differing_rows(cells: np.ndarray) -> list[tuple[str, str]]:
-    """(formatter row, % row) of each row of cells, three per row, that differs."""
+def _differing_rows(cells: np.ndarray) -> list[tuple[bytes, bytes]]:
+    """(formatter row, % row) of each row of cells, three per row, whose bytes differ."""
     columns = cells.reshape(-1, 3).T
     got = _g17.rows(columns, "\n").splitlines()
-    want = ["%.17g,%.17g,%.17g," % row for row in zip(*(c.tolist() for c in columns))]
+    want = [("%.17g,%.17g,%.17g," % row).encode()
+            for row in zip(*(c.tolist() for c in columns))]
     return [(g, w) for g, w in zip(got, want) if g != w] + (
-        [("<%d rows>" % len(got), "<%d rows>" % len(want))] if len(got) != len(want) else [])
+        [(b"<%d rows>" % len(got), b"<%d rows>" % len(want))] if len(got) != len(want) else [])
 
 
 def main(argv=None) -> int:
@@ -54,7 +56,7 @@ def main(argv=None) -> int:
                               -powers])
 
     compared = left = 0
-    differing: list[tuple[str, str]] = []
+    differing: list[tuple[bytes, bytes]] = []
     for cells in batches():
         cells = np.concatenate([cells, np.ones(-len(cells) % 3)])
         compared += len(cells)
@@ -62,7 +64,8 @@ def main(argv=None) -> int:
         differing += _differing_rows(cells)
     print(f"{compared} cells compared, {left} left to %, {len(differing)} rows differ")
     for got, want in differing[:10]:
-        print(f"  got  {got}\n  want {want}")
+        print(f"  got  {got.decode('ascii', 'backslashreplace')}\n"
+              f"  want {want.decode('ascii', 'backslashreplace')}")
     return 1 if differing else 0
 
 

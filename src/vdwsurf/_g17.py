@@ -1,7 +1,7 @@
 """Rows of `%.17g` cells from float64 arrays in one numpy pass, byte for byte.
 
     >>> rows(([0.1], [-3.3e-5], [0.0]), "closed_form\\n")
-    '0.10000000000000001,-3.3000000000000003e-05,0,closed_form\\n'
+    b'0.10000000000000001,-3.3000000000000003e-05,0,closed_form\\n'
 
 A cell v with 1e-280 <= |v| < 1e281 is rounded to 17 significant digits,
 N = round(|v| 10^(16-k)) with k = floor(log10 |v|), in double-double
@@ -16,11 +16,13 @@ one not finite or out of that range, or whose dropped fraction lies within
 1e-7 of 1/2, such as the exact tie 1e15 + 0.25, is formatted by
 "%.17g" % v.
 
-Each cell fills seven 8-byte words padded with NUL, which one
-bytes.translate removes at the end: the sign and the "0.000" that leads a
-fixed cell below 1; the digits before the point, N // 10^(17-s) for s of
-them, right-aligned; the point; the digits after it, left-aligned; and the
-exponent.  A column of +0.0 only is "0" in every row and is not formatted.
+Each cell fills seven 8-byte words padded with NUL: the sign and the
+"0.000" that leads a fixed cell below 1; the digits before the point,
+N // 10^(17-s) for s of them, right-aligned; the point; the digits after
+it, left-aligned; and the exponent.  One bytes.translate removes the NULs
+at the end, and its bytes are the rows, never decoded to str: the caller
+writes them as they are.  A column of +0.0 only is "0" in every row and is
+not formatted.
 The tables are built on first use, never at import.  The pass costs about
 a hundred array calls whatever the size, so short inputs are faster with %.
 """
@@ -183,19 +185,17 @@ def _cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return words, slow
 
 
-def rows(columns, tail: str) -> str:
-    """The rows of columns of equal length: each cell as "%.17g" % cell gives it, a
-    comma after each, then tail."""
+def rows(columns, tail: str) -> bytes:
+    """The rows of columns of equal length, as bytes: each cell as "%.17g" % cell gives
+    it, a comma after each, then tail."""
     columns = [np.ascontiguousarray(x, dtype=float) for x in columns]
     n = len(columns[0])
     live = [bool(x.view(np.uint64).any()) for x in columns]   # else +0.0 only, written "0"
     v = np.concatenate([x for x, keep in zip(columns, live) if keep] or [np.zeros(0)])
     words, slow = _cells(v)
-    flat = words.view(np.uint8).reshape(-1)
-    for i, x in zip(np.flatnonzero(slow).tolist(), v[slow].tolist()):
-        text = b"%.17g," % x
-        flat[i * 8 * _WORDS:(i + 1) * 8 * _WORDS] = 0
-        flat[i * 8 * _WORDS:i * 8 * _WORDS + len(text)] = np.frombuffer(text, np.uint8)
+    if slow.any():   # each slot of a cell left to %, its text padded with NUL, in one store
+        texts = b"".join((b"%.17g," % x).ljust(8 * _WORDS, b"\0") for x in v[slow].tolist())
+        words[slow] = np.frombuffer(texts, np.uint64).reshape(-1, _WORDS)
 
     # a column of +0.0 only takes one word, "0,"; the tail, whole words
     tail = tail.encode()
@@ -211,4 +211,4 @@ def rows(columns, tail: str) -> str:
             out[:, at] = tail[0]
             at += 1
     out[:, at:] = tail[1:]
-    return out.tobytes().translate(None, b"\0").decode()
+    return out.tobytes().translate(None, b"\0")

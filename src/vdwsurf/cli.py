@@ -36,13 +36,16 @@ file's flags). The top-level parser reads only a command line that does
 not start with a subcommand's name, and prints help or an error.
 
 `scan` evaluates its grid in chunks, one vectorised route call and one
-string format per chunk. A chunk bounds the memory of a long scan: the
+format into bytes per chunk. A chunk bounds the memory of a long scan: the
 oracle holds about 11 KB per point and takes 256 points a chunk, the
 closed, numeric and expansion3 routes hold 1.1 KB or less per point and
-take 4096. A chunk's CSV rows have the bytes of "%.17g" % cell for every
-cell, by one of two paths: from 200 rows (_CSV_PASS_ROWS, the measured
-crossover) one exact numpy pass (vdwsurf._g17), below it one % over the
-rows. A chunk whose call fails is evaluated again point by point to
+take 4096. A chunk stays in float64 arrays from the grid to its CSV rows,
+which are bytes, those of "%.17g" % cell for every cell, by one of two
+paths: from 200 rows (_CSV_PASS_ROWS, the measured crossover) one exact
+numpy pass (vdwsurf._g17), below it one % over the rows, encoded once.
+The header and every chunk's rows are joined and written to the file by
+one unbuffered binary write, repeated for whatever a short write leaves.
+A chunk whose call fails is evaluated again point by point to
 name the first failing grid value, and a non-finite energy names its
 point. `energy` is a chunk of one, evaluated and checked by the same
 functions, so it names "rho0=..., z0=..." wherever scan names a point.
@@ -308,15 +311,16 @@ _CSV_PASS_ROWS = 200
 
 def _normalization(
     kind: str, g: GeometryConfig, positions: np.ndarray, name: Callable[[int], str]
-) -> np.ndarray:
-    """Scale factor of each scan point; an overflowing one names its point
-    by name(i), i its index in positions."""
+) -> np.ndarray | np.float64 | None:
+    """Scale factor of each scan point, or None for --normalize none, which
+    scales nothing (x * 1.0 is x); R3 gives one factor for every point. An
+    overflowing factor names its point by name(i), i its index in positions."""
     if kind == "none":
-        return np.ones(len(positions))
+        return None
     if kind == "R3":
         if g.kind is GeometryKind.PLANE:
             raise ValueError("--normalize R3 is undefined for the plane")
-        lengths = np.full(len(positions), g.radius)
+        lengths = np.float64(g.radius)   # one pow for every point; an overflow names the first
     else:
         lengths = surface_distance(g, positions)
     with np.errstate(all="ignore"):
@@ -362,19 +366,19 @@ def _require_finite_energies(values, errs, name: Callable[[int], str]) -> None:
         )
 
 
-def _csv_rows(xs, values, errs, method: str) -> str:
+def _csv_rows(xs, values, errs, method: str) -> bytes:
     """The CSV rows of a chunk from its arrays (or lists) of grid values,
-    values and errors: the bytes of formatting each row by itself with
-    "%.17g,%.17g,%.17g,<method>\n".  A chunk of _CSV_PASS_ROWS rows or more
-    is formatted by the numpy pass of vdwsurf._g17, a shorter one by one %
-    over the row repeated."""
+    values and errors, as bytes: those of formatting each row by itself
+    with "%.17g,%.17g,%.17g,<method>\n".  A chunk of _CSV_PASS_ROWS rows or
+    more is formatted by the numpy pass of vdwsurf._g17, a shorter one by
+    one % over the row repeated, encoded once."""
     if len(xs) >= _CSV_PASS_ROWS:
         return _cli._g17.rows((xs, values, errs), method + "\n")
     cells: list = [None] * (3 * len(xs))
     cells[0::3] = np.asarray(xs, dtype=float).tolist()
     cells[1::3] = np.asarray(values, dtype=float).tolist()
     cells[2::3] = np.asarray(errs, dtype=float).tolist()
-    return ("%.17g,%.17g,%.17g," + method + "\n") * len(xs) % tuple(cells)
+    return (("%.17g,%.17g,%.17g," + method + "\n") * len(xs) % tuple(cells)).encode()
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -398,9 +402,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
     else:
         grid = np.linspace(lo, hi, args.points)
     # stable, so that -0.0 and 0.0 keep their grid order, as sorted() keeps it
-    xs = np.sort(grid, kind="stable").tolist()
+    xs = np.sort(grid, kind="stable")
     var_column, fixed_column, fixed = (2, 0, args.rho0) if var == "z0" else (0, 2, args.z0)
-    text = ["x,value,err,method\n"]
+    rows = [b"x,value,err,method\n"]
     size = _SCAN_CHUNK[args.method]
     for start in range(0, len(xs), size):
         chunk = xs[start:start + size]
@@ -409,22 +413,25 @@ def cmd_scan(args: argparse.Namespace) -> int:
         positions[:, fixed_column] = fixed
 
         def name(i: int) -> str:
-            return f"{var}={chunk[i]!r}"
+            return f"{var}={float(chunk[i])!r}"
 
         scales = _normalization(args.normalize, g, positions, name)
         values, errs, method_name = _chunk_energies(
             args.method, g, variances, positions, units, name
         )
-        # inf and NaN, as Python floats give them, rather than an
-        # unnamed FloatingPointError: the check below names the point
-        with np.errstate(over="ignore", invalid="ignore"):
-            values, errs = values * scales, errs * scales
+        if scales is not None:
+            # inf and NaN, as Python floats give them, rather than an
+            # unnamed FloatingPointError: the check below names the point
+            with np.errstate(over="ignore", invalid="ignore"):
+                values, errs = values * scales, errs * scales
         _require_finite_energies(values, errs, name)
-        text.append(_csv_rows(positions[:, var_column], values, errs, method_name))
+        rows.append(_csv_rows(chunk, values, errs, method_name))
 
     try:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("".join(text))
+        with open(out, "wb", buffering=0) as fh:
+            view = memoryview(b"".join(rows))
+            while view:   # a raw write may take only part of it
+                view = view[fh.write(view):]
     except OSError as exc:
         sys.stderr.write(f"vdwsurf: cannot write {out!r}: {exc}\n")
         return 4
@@ -467,10 +474,13 @@ def _add_common_energy_flags(sub: argparse.ArgumentParser) -> None:
 _DIGITS = r"\d(?:_?\d)*"
 # A token that starts with "-" and that float() reads as a number, which
 # argparse then takes as a value, not as an option: -1e5, -1E+5, -.5,
-# -1_000, -inf, -nan. argparse's own pattern takes only -1 and -1.5.
+# -1_000, -inf, -nan; and a comma list whose first item float() reads so,
+# such as the --variances -0.0,1,1, whose items the flag's type then reads.
+# argparse's own pattern takes only -1 and -1.5.
 _NEGATIVE_NUMBER = re.compile(
-    rf"-(?:(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:e[+-]?{_DIGITS})?|inf(?:inity)?|nan)\Z",
-    re.IGNORECASE,
+    rf"-(?:(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:e[+-]?{_DIGITS})?|inf(?:inity)?|nan)"
+    r"(?:,.*)?\Z",
+    re.IGNORECASE | re.DOTALL,
 )
 
 

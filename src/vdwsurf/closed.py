@@ -70,20 +70,22 @@ def _scalar(value, *inputs: np.ndarray):
     return value if any(x.ndim for x in inputs) else float(value)
 
 
-def _over_cube(numerator, z):
-    """numerator / z^3, z > 0, with the cube taken at z/2^e, e the exponent of z, and the
-    quotient times 2^(-3e): exact where the quotient is normal, as a power of two scales a
-    float exactly, and a quotient below the normal range keeps its subnormal digits."""
+def _over_cube(z, *numerators) -> tuple:
+    """numerator / z^3 for each numerator, z > 0, with the cube taken once at z/2^e, e the
+    exponent of z, and each quotient times 2^(-3e): exact where the quotient is normal, as a
+    power of two scales a float exactly, and a quotient below the normal range keeps its
+    subnormal digits."""
     e = np.frexp(z)[1]
     z = np.ldexp(z, -e)
-    return np.ldexp(numerator / (z * z * z), -3 * e)
+    cube, shift = z * z * z, -3 * e
+    return tuple(np.ldexp(n / cube, shift) for n in numerators)
 
 
 def _plane_kernel(z, units: UnitSystem) -> tuple:
     """The plane's kernel at heights z."""
     if (z <= 0.0).any():
         raise ContactError("atom must sit above the plane (z0 > 0)")
-    k = _over_cube(-1.0 / (16.0 * units.four_pi_epsilon0), z)
+    (k,) = _over_cube(z, -1.0 / (16.0 * units.four_pi_epsilon0))
     return k, k, 2.0 * k
 
 
@@ -267,7 +269,7 @@ def xi_factors_corrected(radius: float, rho0: float, z0: float) -> BossHatXi:
 def _xi_kernel(xi: BossHatXi, z0, units: UnitSystem) -> tuple:
     """The boss-hat kernel per unit (rho, phi, z) variance at heights z0 > 0."""
     c = 16.0 * units.four_pi_epsilon0
-    return tuple(_over_cube(-f / c, z0) for f in (xi.xi_rho, xi.xi_phi, xi.xi_z))
+    return _over_cube(z0, -xi.xi_rho / c, -xi.xi_phi / c, -xi.xi_z / c)
 
 
 def u_bosshat_corrected(

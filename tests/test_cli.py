@@ -253,6 +253,31 @@ def test_scan_unwritable_output_exits_4(tmp_path, capsys):
     assert "cannot write" in err
 
 
+def test_scan_writes_the_whole_csv_through_short_raw_writes(tmp_path, monkeypatch):
+    # the CSV goes to the file in one unbuffered write, repeated for what a
+    # write leaves: a file that takes at most 7 bytes a call still gets all
+    argv = ["scan", "--geometry", "bosshat", "--radius", "1", "--variances", "0.5,1,2",
+            "--from", "1.05", "--to", "5", "--points", "300"]
+    want = tmp_path / "want.csv"
+    assert _run(argv + ["--out", str(want)]) == (0, "", "")
+    counts = []
+
+    class ShortWrites(io.FileIO):
+        def write(self, data):
+            counts.append(super().write(data[:7]))
+            return counts[-1]
+
+    def short_open(path, mode, buffering):
+        assert (mode, buffering) == ("wb", 0)
+        return ShortWrites(path, "w")
+
+    monkeypatch.setattr(cli, "open", short_open, raising=False)
+    got = tmp_path / "got.csv"
+    assert _run(argv + ["--out", str(got)]) == (0, "", "")
+    assert got.read_bytes() == want.read_bytes()
+    assert len(counts) == -(-len(want.read_bytes()) // 7) and set(counts[:-1]) == {7}
+
+
 def test_scan_normalize_r3_rejected_for_plane(capsys, tmp_path):
     code, _, _ = run_cli(
         capsys,
@@ -617,14 +642,16 @@ def test_help_is_still_an_option_after_the_negative_number_pattern():
     assert out.startswith("usage: vdwsurf energy [-h]")
 
 
-# pieces of what float() reads, and of what it does not, glued at random
+# pieces of what float() reads, and of what it does not, glued at random;
+# a comma makes a list, as --variances takes
 _FLOAT_PIECES = ["0", "7", "12", "_", ".", "e", "E", "+", "-", "inf", "INF", "inity", "Infinity",
-                 "nan", "NaN", "n", "x"]
+                 "nan", "NaN", "n", "x", ","]
 
 
 @given(st.lists(st.sampled_from(_FLOAT_PIECES), max_size=6).map("".join))
 @settings(max_examples=1000, deadline=None)
 def test_negative_number_pattern_is_what_float_reads(tail):
+    # a token, or a comma list whose first item, float() reads
     text = "-" + tail
 
     def is_float(text):
@@ -634,7 +661,23 @@ def test_negative_number_pattern_is_what_float_reads(tail):
             return False
         return True
 
-    assert bool(cli._NEGATIVE_NUMBER.match(text)) == is_float(text)
+    assert bool(cli._NEGATIVE_NUMBER.match(text)) == is_float(text.split(",")[0])
+
+
+@pytest.mark.parametrize("text, want", [
+    ("-0.0,1,1", (0, "")),
+    ("-1,1,1", (2, "vdwsurf: dipole variances must be >= 0\n")),
+    ("-1e-3,1,1", (2, "vdwsurf: dipole variances must be >= 0\n")),
+    ("-1,x,1", (2, "vdwsurf: argument --variances: invalid float value: 'x'\n")),
+])
+def test_variances_that_start_with_a_minus_sign_are_a_value(text, want):
+    # read as --variances=TEXT reads them, not as an option
+    code, out, err = _run(["energy", "--geometry", "plane", "--z0", "1", "--variances", text])
+    assert (code, err) == want
+    assert (code, err) == _run(["energy", "--geometry", "plane", "--z0", "1",
+                                f"--variances={text}"])[::2]
+    if code == 0:
+        assert json.loads(out)["energy"] == -0.1875
 
 
 @pytest.mark.parametrize("command", ["energy", "scan"])
@@ -934,19 +977,43 @@ def test_csv_rows_of_a_chunk_equal_the_per_row_format():
         row = "%.17g,%.17g,%.17g," + method + "\n"
         rows = cli._csv_rows(xs, values, errs, method)
         # row by row, so that a failure shows one row and not a diff of 80 KB
-        assert rows.count("\n") == len(xs)
+        assert rows.count(b"\n") == len(xs)
         for got, want in zip(rows.splitlines(keepends=True), (row % r for r in zip(xs, values, errs))):
-            assert got == want
-        assert cli._csv_rows(xs[:1], values[:1], errs[:1], method) == row % (xs[0], values[0], errs[0])
-    assert cli._csv_rows([], [], [], "oracle") == ""
+            assert got == want.encode()
+        assert cli._csv_rows(xs[:1], values[:1], errs[:1], method) == (
+            row % (xs[0], values[0], errs[0])).encode()
+    assert cli._csv_rows([], [], [], "oracle") == b""
 
 
 def _per_row(xs, values, errs, method):
-    return "".join("%.17g,%.17g,%.17g," % row + method + "\n" for row in zip(xs, values, errs))
+    """The bytes of each row formatted by itself with %."""
+    return "".join("%.17g,%.17g,%.17g," % row + method + "\n"
+                   for row in zip(xs, values, errs)).encode()
 
 
 # every finite double, the zeros and the subnormals included
 _finite = st.floats(allow_nan=False, allow_infinity=False)
+
+# -0.0, the subnormals, and each power of ten 1e-323 to 1e308 with its
+# neighbours one ulp above and below, of either sign
+_POWERS = np.array([float(f"1e{e}") for e in range(-323, 309)])
+_NAMED = np.concatenate([_POWERS, np.nextafter(_POWERS, np.inf), np.nextafter(_POWERS, 0.0)])
+_cell = (_finite
+         | st.sampled_from([-0.0] + _NAMED.tolist() + (-_NAMED).tolist())
+         | st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308, exclude_min=True,
+                     exclude_max=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2, cli._CSV_PASS_ROWS - 1, cli._CSV_PASS_ROWS, cli._CSV_PASS_ROWS + 1]),
+       st.lists(st.tuples(_cell, _cell, _cell), min_size=1, max_size=40))
+def test_csv_rows_are_the_per_row_bytes_on_either_side_of_the_crossover(n, rows):
+    # the drawn rows, repeated to a chunk of n rows: 1, 2 and 199 take %,
+    # 200 and 201 the numpy pass
+    rows = (rows * n)[:n]
+    xs, values, errs = (np.array(column) for column in zip(*rows))
+    assert cli._csv_rows(xs, values, errs, "numeric_ez") == _per_row(
+        xs.tolist(), values.tolist(), errs.tolist(), "numeric_ez")
 
 
 @settings(max_examples=60, deadline=None)
@@ -974,7 +1041,7 @@ def test_csv_rows_of_named_doubles_equal_the_per_row_format():
     for f, text in ((0.25, "1000000000000000.2"), (0.75, "1000000000000000.8")):
         column = np.full(cli._CSV_PASS_ROWS, 1e15 + f)
         rows = cli._csv_rows(column, column, column, "m")
-        assert rows == f"{text},{text},{text},m\n" * cli._CSV_PASS_ROWS
+        assert rows == f"{text},{text},{text},m\n".encode() * cli._CSV_PASS_ROWS
 
 
 @pytest.mark.parametrize("err", [0.0, -0.0, 1e-300], ids=["zero", "minus-zero", "tiny"])
